@@ -21,6 +21,7 @@ from .errors import (
     IrrationalRoot,
     MatchingFailure,
     MultiplicityMismatch,
+    NonGenericDirection,
     OracleDisagreement,
     RankInstability,
     RankNotDivisible,
@@ -103,11 +104,7 @@ def _diagnostics(vs: VertexSet):
         "betas": [_serialize_beta(b) for b in prov.betas],
         "moment_count": prov.moment_count,
         "retries": prov.retries,
-        "residual_max": (
-            prov.self_check_residual
-            if prov.self_check_residual is not None
-            else prov.residual_max
-        ),
+        "residual_max": prov.self_check_residual,
     }
 
 
@@ -137,8 +134,7 @@ def cmd_moments(args):
     return 0
 
 
-def _build_oracle(args, mode):
-    p = load_polytope(args.oracle_polytope, mode)
+def _build_oracle(args, p, mode):
     rho = _density_from_args(args, p.dim)
     rng = Random(args.seed if args.seed is not None else 0)
     noise = getattr(args, "noise", 0.0) or 0.0
@@ -155,7 +151,7 @@ def _build_oracle(args, mode):
 def cmd_reconstruct(args):
     mode = args.mode
     if args.oracle_polytope:
-        oracle = _build_oracle(args, mode)
+        oracle = _build_oracle(args, load_polytope(args.oracle_polytope, mode), mode)
         config = _config_from_args(args, mode, oracle.density_degree)
         vs = reconstruct(
             oracle, args.nmax, config, rng=Random(args.seed), self_check=False
@@ -175,7 +171,7 @@ def cmd_reconstruct(args):
 def cmd_roundtrip(args):
     mode = args.mode
     truth = load_polytope(args.polytope, mode)
-    oracle = _build_oracle_from_polytope(args, truth, mode)
+    oracle = _build_oracle(args, truth, mode)
     config = _config_from_args(args, mode, oracle.density_degree)
     rng = Random(args.seed)
     if args.method == "frugal":
@@ -201,23 +197,9 @@ def cmd_roundtrip(args):
     return 0
 
 
-def _build_oracle_from_polytope(args, p, mode):
-    rho = _density_from_args(args, p.dim)
-    rng = Random(args.seed if args.seed is not None else 0)
-    noise = getattr(args, "noise", 0.0) or 0.0
-    return PolytopeMomentOracle(
-        p,
-        rho,
-        mode=mode,
-        route=getattr(args, "route", "brion"),
-        noise=noise if mode == FLOAT else 0.0,
-        rng=rng,
-    )
-
-
 def cmd_univar(args):
     mode = args.mode
-    oracle = _build_oracle(args, mode)
+    oracle = _build_oracle(args, load_polytope(args.oracle_polytope, mode), mode)
     config = _config_from_args(args, mode, oracle.density_degree)
     vs = vertices_univar(oracle, args.nmax, config, Random(args.seed))
     _write_json(_vertex_doc(vs), args.out)
@@ -315,6 +297,8 @@ _EXIT_CODES = (
          IrrationalRoot),
         EXIT_RANK,
     ),
+    # after the rank entry, which claims its subclasses
+    (NonGenericDirection, EXIT_NON_GENERIC),
     ((AmbiguousMatching, MatchingFailure), EXIT_MATCHING),
 )
 

@@ -303,8 +303,12 @@ def polytope_from_json(doc, mode=EXACT) -> Polytope:
 
 
 def load_polytope(path, mode=EXACT) -> Polytope:
-    with open(path) as fh:
-        return polytope_from_json(json.load(fh), mode)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read polytope file {path}: {exc}") from None
+    return polytope_from_json(doc, mode)
 
 
 def save_polytope(p: Polytope, path):

@@ -20,13 +20,14 @@ def _coerce(x) -> Fraction:
 
 
 def _to_integer_matrix(rows):
-    """Scale a rational matrix by the lcm of all denominators."""
+    """Scale a rational matrix by the lcm of all denominators; returns the
+    integer rows and that lcm."""
     rows = [[_coerce(x) for x in row] for row in rows]
     denom = 1
     for row in rows:
         for x in row:
             denom = lcm(denom, x.denominator)
-    return [[int(x * denom) for x in row] for row in rows]
+    return [[int(x * denom) for x in row] for row in rows], denom
 
 
 class Echelon:
@@ -45,12 +46,15 @@ class Echelon:
         return len(self.pivots)
 
 
-def bareiss_echelon(matrix) -> Echelon:
-    """Fraction-free Gaussian elimination; exact over int/Fraction entries."""
-    rows = _to_integer_matrix(matrix)
+def _eliminate(matrix):
+    """Fraction-free (Bareiss) elimination of the denominator-cleared copy
+    of ``matrix``. Returns the echelon form, the sign of its row
+    permutation, and the cleared denominator."""
+    rows, denom = _to_integer_matrix(matrix)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
+    sign = 1
     r = 0
     prev = 1
     for col in range(ncols):
@@ -63,6 +67,7 @@ def bareiss_echelon(matrix) -> Echelon:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
         piv = rows[r][col]
         for i in range(r + 1, nrows):
             fac = rows[i][col]
@@ -73,7 +78,12 @@ def bareiss_echelon(matrix) -> Echelon:
         r += 1
         if r == nrows:
             break
-    return Echelon([row for row in rows[: len(pivots)]], pivots, ncols)
+    return Echelon(rows[:r], pivots, ncols), sign, denom
+
+
+def bareiss_echelon(matrix) -> Echelon:
+    """Fraction-free Gaussian elimination; exact over int/Fraction entries."""
+    return _eliminate(matrix)[0]
 
 
 def rank_exact(matrix) -> int:
@@ -109,31 +119,13 @@ def kernel_basis(matrix):
 
 
 def solve_exact(matrix, rhs):
-    """Solve a square nonsingular rational system exactly."""
+    """Solve a square nonsingular rational system exactly: x is the kernel
+    vector of [A | -b] with entry 1 in the last column."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise InputError("singular matrix")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        piv = a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] == 0:
-                continue
-            fac = a[i][col] / piv
-            for j in range(col, n + 1):
-                a[i][j] -= fac * a[col][j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = s / a[i][i]
-    return x
+    ech = _eliminate([list(row) + [-b] for row, b in zip(matrix, rhs)])[0]
+    if ech.pivots != list(range(n)):
+        raise InputError("singular matrix")
+    return kernel_vector_for_column(ech, n)[:n]
 
 
 def det_exact(matrix):
@@ -141,29 +133,8 @@ def det_exact(matrix):
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    coerced = [[_coerce(x) for x in row] for row in matrix]
-    denom = 1
-    for row in coerced:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    rows = [[int(x * denom) for x in row] for row in coerced]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot_row = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        piv = rows[col][col]
-        for i in range(col + 1, n):
-            fac = rows[i][col]
-            for j in range(col, n):
-                rows[i][j] = (piv * rows[i][j] - fac * rows[col][j]) // prev
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1], denom**n)
+    ech, sign, denom = _eliminate(matrix)
+    if ech.rank < n:
+        return Fraction(0)
+    # the last Bareiss pivot is the determinant of the row-permuted matrix
+    return Fraction(sign * ech.rows[-1][-1], denom**n)

@@ -404,6 +404,8 @@ def moment_sequence(
     mode: str = EXACT,
     route: str = "brion",
 ) -> MomentSequence:
+    if count < 0:
+        raise InputError(f"moment count must be nonnegative, got {count}")
     coords = _direction_coords(z)
     if route == "brion":
         moments = axial_moments_brion_density(p, coords, count, rho)
@@ -479,8 +481,12 @@ def save_moments(ms: MomentSequence, path):
 
 
 def load_moments(path) -> MomentSequence:
-    with open(path) as fh:
-        return moments_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read moment file {path}: {exc}") from None
+    return moments_from_json(doc)
 
 
 def moments_to_csv(ms: MomentSequence, path):

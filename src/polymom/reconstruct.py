@@ -56,7 +56,6 @@ class Provenance:
     ranks: list = field(default_factory=list)
     moment_count: int = 0
     retries: int = 0
-    residual_max: float = 0.0
     self_check_moments: int = 0
     self_check_residual: float | None = None
 
@@ -286,6 +285,44 @@ class _Pipeline:
             f"last error: {last_error}"
         )
 
+    def acquire_base(self):
+        """d independent directions whose Prony solves agree on the vertex
+        count, as (coords, projections) pairs. A direction that reveals
+        more vertices than the earlier ones shows they undercounted, and
+        the base restarts from it."""
+        z1, proj1 = self.acquire_first()
+        n = proj1.n
+        base = [(z1, proj1)]
+        while len(base) < self.oracle.dim:
+            coords, proj = self.acquire_direction([b[0] for b in base], n)
+            if proj.n > n:
+                base = [(coords, proj)]
+                n = proj.n
+                self.prov.retries += 1
+                continue
+            base.append((coords, proj))
+        self.prov.directions = [b[0] for b in base]
+        self.prov.ranks = [b[1].rank for b in base]
+        return base
+
+    def assemble(self, rows, values, combos):
+        """One vertex per index tuple: entry i of a tuple picks the vertex's
+        projection onto rows[i] from values[i]."""
+        tuples = [tuple(v[k] for v, k in zip(values, combo)) for combo in combos]
+        return assemble_vertices(rows, tuples, self.config.mode)
+
+    def finish(self, vertices) -> VertexSet:
+        """The sorted result; its moment count covers every measurement
+        drawn so far."""
+        if len(set(map(tuple, vertices))) != len(vertices):
+            raise RankInstability("reconstructed vertices are not distinct")
+        self.prov.moment_count = self.oracle.unique_count
+        return VertexSet(
+            dim=self.oracle.dim,
+            vertices=tuple(sorted(tuple(v) for v in vertices)),
+            provenance=self.prov,
+        )
+
 
 def _inferred_polytope(dim, vertices, simplices=None) -> Polytope | None:
     p = Polytope(dim=dim, vertices=tuple(vertices), simplices=simplices)
@@ -385,10 +422,6 @@ def _self_check(pipeline: _Pipeline, vertices, simplices=None):
     prov.self_check_moments = oracle.unique_count - before
 
 
-def _sorted_vertex_tuple(vertices):
-    return tuple(sorted(tuple(v) for v in vertices))
-
-
 def reconstruct(
     oracle,
     nmax: int,
@@ -408,22 +441,10 @@ def reconstruct(
     prov = pipe.prov
     mult = oracle.density_degree + 1
 
-    z1, proj1 = pipe.acquire_first()
+    base = pipe.acquire_base()
+    z1, proj1 = base[0]
     n = proj1.n
-    base = [(z1, proj1)]
-    while len(base) < d:
-        coords, proj = pipe.acquire_direction([b[0] for b in base], n)
-        if proj.n > n:
-            # the earlier directions undercounted: restart from this one
-            base = [(coords, proj)]
-            n = proj.n
-            prov.retries += 1
-            continue
-        base.append((coords, proj))
-
-    prov.directions = [b[0] for b in base]
-    prov.ranks = [b[1].rank for b in base]
-    x1 = base[0][1].values
+    x1 = proj1.values
     max_trials = pipe.config.beta_trials or n**3 + 1
 
     matched = []
@@ -465,24 +486,17 @@ def reconstruct(
             )
 
     prov.betas = [m[2] for m in matched]
+    # a matching retry may have replaced a base direction
     prov.directions = [z1] + [m[0] for m in matched]
-
-    rows = [z1] + [m[0] for m in matched]
-    tuples = []
-    for idx in range(n):
-        t = [x1[idx]]
-        for _, xi, _, pairing in matched:
-            t.append(xi[pairing[idx]])
-        tuples.append(tuple(t))
-    verts = assemble_vertices(rows, tuples, pipe.config.mode)
-    if len(set(map(tuple, verts))) != n:
-        raise RankInstability("reconstructed vertices are not distinct")
-    prov.moment_count = oracle.unique_count
-
+    verts = pipe.assemble(
+        prov.directions,
+        [x1] + [m[1] for m in matched],
+        zip(range(n), *(m[3] for m in matched)),
+    )
+    result = pipe.finish(verts)
     if self_check:
         _self_check(pipe, verts, self_check_simplices)
-
-    return VertexSet(dim=d, vertices=_sorted_vertex_tuple(verts), provenance=prov)
+    return result
 
 
 def _alpha_sequence(dim, mode, rng):
@@ -520,24 +534,13 @@ def match_frugal_d_plus_1(
     prov = pipe.prov
     mult = oracle.density_degree + 1
 
-    z1, proj1 = pipe.acquire_first()
-    n = proj1.n
-    base = [(z1, proj1)]
-    while len(base) < d:
-        coords, proj = pipe.acquire_direction([b[0] for b in base], n)
-        if proj.n > n:
-            base = [(coords, proj)]
-            n = proj.n
-            prov.retries += 1
-            continue
-        base.append((coords, proj))
+    base = pipe.acquire_base()
+    n = base[0][1].n
     if comb(n, d) > FRUGAL_GUARD or n**d > 4 * FRUGAL_GUARD:
         raise InputError(
             f"candidate tuple count C({n},{d}) exceeds the guard {FRUGAL_GUARD}"
         )
 
-    prov.directions = [b[0] for b in base]
-    prov.ranks = [b[1].rank for b in base]
     values = [b[1].values for b in base]
     max_trials = pipe.config.beta_trials or n**3 + 1
 
@@ -584,13 +587,7 @@ def match_frugal_d_plus_1(
             f"frugal matching found no consistent tuple set in {trials} trials"
         )
 
-    rows = list(prov.directions)
-    tuples = [tuple(values[j][combo[j]] for j in range(d)) for combo in accepted]
-    verts = assemble_vertices(rows, tuples, pipe.config.mode)
-    if len(set(map(tuple, verts))) != n:
-        raise RankInstability("reconstructed vertices are not distinct")
-    prov.moment_count = oracle.unique_count
-    return VertexSet(dim=d, vertices=_sorted_vertex_tuple(verts), provenance=prov)
+    return pipe.finish(pipe.assemble(prov.directions, values, accepted))
 
 
 def _derive_beta(z, z1, zi, mode):
@@ -624,18 +621,17 @@ def reconstruct_from_sequences(
     """
     from .moments import SequenceMomentOracle
 
-    oracle = SequenceMomentOracle(sequences)
+    pipe = _Pipeline(SequenceMomentOracle(sequences), nmax, config, None)
+    oracle = pipe.oracle
     d = oracle.dim
-    config = (config or RunConfig(mode=oracle.mode)).validate(nmax)
-    if config.mode != oracle.mode:
-        raise InputError(f"config mode {config.mode} != file mode {oracle.mode}")
+    mode = pipe.config.mode
+    prov = pipe.prov
     mult = oracle.density_degree + 1
-    prov = Provenance()
 
     base = []
     combined = []
     for coords in oracle.directions:
-        if len(base) < d and _independent([b for b in base] + [coords], config.mode):
+        if len(base) < d and _independent(base + [coords], mode):
             base.append(coords)
         else:
             combined.append(coords)
@@ -644,13 +640,7 @@ def reconstruct_from_sequences(
             f"moment files supply only {len(base)} independent directions, need {d}"
         )
 
-    def projections_at(coords, n_for_hankel):
-        ms = sequence_from_oracle(oracle, coords, n_for_hankel)
-        return projections_from_moments(
-            ms, n_for_hankel, config.rank_tol, config.real_tol, config.cluster_tol
-        )
-
-    projs = [projections_at(coords, nmax) for coords in base]
+    projs = [pipe.projections_at(coords, nmax) for coords in base]
     counts = {p.n for p in projs}
     if len(counts) != 1:
         raise RankInstability(
@@ -661,24 +651,22 @@ def reconstruct_from_sequences(
     prov.ranks = [p.rank for p in projs]
     x1 = projs[0].values
 
-    matched = []
+    pairings = []
     for i in range(1, d):
-        zi = base[i]
         pairing = None
         last_error = None
         for coords in combined:
-            beta = _derive_beta(coords, base[0], zi, config.mode)
+            beta = _derive_beta(coords, base[0], base[i], mode)
             if beta is None:
                 continue
             try:
-                ms = sequence_from_oracle(oracle, coords, n)
-                pz = prony_polynomial_from_sequence(ms, n, config.rank_tol)
+                pz = pipe.poly_at(coords, n)
                 if pz.degree != mult * n:
                     raise RankInstability("combined direction rank deficient")
                 pairing = match_projections(
-                    x1, projs[i].values, beta, pz, config.mode, config.match_tol
+                    x1, projs[i].values, beta, pz, mode, pipe.config.match_tol
                 )
-                matched.append((zi, projs[i].values, beta, pairing))
+                prov.betas.append(beta)
                 break
             except (NonGenericDirection, AmbiguousMatching, DenominatorVanishes) as exc:
                 last_error = exc
@@ -688,20 +676,11 @@ def reconstruct_from_sequences(
                 f"no supplied combined direction matches base direction {i}"
                 + (f"; last error: {last_error}" if last_error else "")
             )
+        pairings.append(pairing)
 
-    prov.betas = [m[2] for m in matched]
-    rows = [base[0]] + [m[0] for m in matched]
-    tuples = []
-    for idx in range(n):
-        t = [x1[idx]]
-        for _, xi, _, pairing in matched:
-            t.append(xi[pairing[idx]])
-        tuples.append(tuple(t))
-    verts = assemble_vertices(rows, tuples, config.mode)
-    if len(set(map(tuple, verts))) != n:
-        raise RankInstability("reconstructed vertices are not distinct")
-    prov.moment_count = oracle.unique_count
-    return VertexSet(dim=d, vertices=_sorted_vertex_tuple(verts), provenance=prov)
+    return pipe.finish(pipe.assemble(
+        base, [p.values for p in projs], zip(range(n), *pairings)
+    ))
 
 
 def reconstruction_error(truth: Polytope, result: VertexSet):

@@ -10,7 +10,6 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import RunConfig
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .numeric import EXACT, FLOAT
 from .prony import PronyPolynomial, poly_derivative, poly_eval, poly_nth_root
-from .reconstruct import VertexSet, _Pipeline, _sorted_vertex_tuple
+from .reconstruct import VertexSet, _Pipeline
 
 
 def lagrange_coefficients(nodes, values):
@@ -71,16 +70,6 @@ def _squarefree_projection_poly(poly: PronyPolynomial, multiplicity: int):
             f"kernel polynomial is not a perfect {multiplicity}-th power"
         )
     return root
-
-
-@dataclass
-class UnivarRep:
-    """p_a, its derivative, and one g polynomial per basis direction."""
-
-    base_direction: tuple
-    pa: list
-    pa_derivative: list
-    g: list = field(default_factory=list)
 
 
 def _node_pool(n, mode, limit=512):
@@ -183,25 +172,22 @@ def vertices_univar(
         a, proj = pipe.acquire_first()
     n = proj.n
     pa = _squarefree_projection_poly(proj.poly, mult)
-    rep = UnivarRep(base_direction=a, pa=pa, pa_derivative=poly_derivative(pa))
+    pa_derivative = poly_derivative(pa)
 
     one = 1.0 if mode == FLOAT else Fraction(1)
+    g = []
     for j in range(d):
         e_j = tuple(one if t == j else (0.0 if mode == FLOAT else Fraction(0))
                     for t in range(d))
         fab = interpolate_fab(oracle, a, e_j, n, pipeline=pipe, known_pa=pa)
-        rep.g.append(g_from_f(fab))
+        g.append(g_from_f(fab))
 
     vertices = []
     for theta in proj.values:
-        dp = poly_eval(rep.pa_derivative, theta)
+        dp = poly_eval(pa_derivative, theta)
         if dp == 0:
             raise RankInstability("repeated root of p_a; resample the direction")
-        vertices.append(
-            tuple(-poly_eval(rep.g[j], theta) / dp for j in range(d))
-        )
-    prov = pipe.prov
-    prov.directions = [a]
-    prov.ranks = [proj.rank]
-    prov.moment_count = oracle.unique_count
-    return VertexSet(dim=d, vertices=_sorted_vertex_tuple(vertices), provenance=prov)
+        vertices.append(tuple(-poly_eval(g[j], theta) / dp for j in range(d)))
+    pipe.prov.directions = [a]
+    pipe.prov.ranks = [proj.rank]
+    return pipe.finish(vertices)

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import square_pyramid, unit_square, unit_triangle
+from polymom import cli
 from polymom.cli import main
+from polymom.errors import NonGenericDirection
 from polymom.geometry import polytope_to_json, save_polytope
 
 F = Fraction
@@ -89,6 +91,17 @@ class TestMoments:
         code = main(["moments", str(bad), "--direction", "1,2", "--count", "3"])
         assert code == 2
 
+    def test_malformed_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2,')
+        code = main(["moments", str(bad), "--direction", "1,2", "--count", "3"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_count_exit_2(self, triangle_file):
+        code = main(["moments", triangle_file, "--direction", "1,2", "--count", "-1"])
+        assert code == 2
+
     def test_route_disagreement_exit_4(self, tmp_path):
         # corrupt one cone determinant so the vertex formula diverges from
         # the integration oracle
@@ -151,6 +164,12 @@ class TestReconstruct:
             "--out", str(path),
         ])
         code = main(["reconstruct", "--moments", str(path), "--nmax", "3"])
+        assert code == 2
+
+    def test_missing_moment_file_exit_2(self, tmp_path):
+        code = main([
+            "reconstruct", "--moments", str(tmp_path / "absent.json"), "--nmax", "3",
+        ])
         assert code == 2
 
     def test_nmax_too_small_exit_5(self, square_file, tmp_path):
@@ -239,6 +258,15 @@ class TestRoundtrip:
         assert code == 0
         assert json.loads(out.read_text())["diagnostics"]["residual_max"] == 0
 
+    def test_residual_null_without_self_check(self, triangle_file, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "roundtrip", triangle_file, "--nmax", "3", "--seed", "3",
+            "--denominator", "10007", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["diagnostics"]["residual_max"] is None
+
 
 class TestUnivarCommand:
     def test_triangle(self, triangle_file, tmp_path):
@@ -250,6 +278,17 @@ class TestUnivarCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["vertices"] == [["0", "0"], ["0", "1"], ["1", "0"]]
+
+    def test_bare_non_generic_exit_3(self, triangle_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NonGenericDirection("interpolation node pool exhausted")
+
+        monkeypatch.setattr(cli, "vertices_univar", fail)
+        code = main([
+            "univar", "--oracle-polytope", triangle_file, "--nmax", "3",
+        ])
+        assert code == 3
+        assert "resample" in capsys.readouterr().err
 
 
 def test_console_entry_point(triangle_file, tmp_path):

@@ -66,17 +66,18 @@ def test_det_exact():
     assert linalg.det_exact([[1, 2], [2, 4]]) == 0
 
 
-def test_det_matches_cofactor_expansion(rng):
-    def cofactor_det(m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * cofactor_det(minor)
-        return total
+def cofactor_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = Fraction(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor_det(minor)
+    return total
 
+
+def test_det_matches_cofactor_expansion(rng):
     for _ in range(15):
         n = rng.randint(1, 5)
         m = [
@@ -84,6 +85,41 @@ def test_det_matches_cofactor_expansion(rng):
             for _ in range(n)
         ]
         assert linalg.det_exact(m) == cofactor_det(m)
+
+
+def test_solve_and_det_random_rational_systems(rng):
+    swaps = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.3:
+            # a zero leading entry forces a row swap
+            m[0][0] = Fraction(0)
+            swaps += 1
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        det = cofactor_det(m)
+        assert linalg.det_exact(m) == det
+        if det == 0:
+            with pytest.raises(InputError):
+                linalg.solve_exact(m, b)
+            continue
+        x = linalg.solve_exact(m, b)
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == b
+    assert swaps
+
+
+def test_solve_and_det_singular_with_row_swaps():
+    # rank 2: the third row is the sum of the first two
+    m = [[0, 1, 2], [3, 0, 1], [3, 1, 3]]
+    assert linalg.det_exact(m) == cofactor_det(m) == 0
+    with pytest.raises(InputError):
+        linalg.solve_exact(m, [1, 2, 3])
+    swapped = [[0, 2, 1], [1, 0, 0], [0, 0, 3]]
+    assert linalg.det_exact(swapped) == cofactor_det(swapped) == -6
+    assert linalg.solve_exact(swapped, [2, 1, 3]) == [1, Fraction(1, 2), 1]
 
 
 def test_bareiss_pivot_order_deterministic():

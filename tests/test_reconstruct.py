@@ -14,9 +14,15 @@ from conftest import (
     unit_triangle,
 )
 from polymom.config import RunConfig
-from polymom.errors import AmbiguousMatching, InputError, MatchingFailure
+from polymom.errors import (
+    AmbiguousMatching,
+    InputError,
+    InsufficientMoments,
+    MatchingFailure,
+)
+from polymom.geometry import polytope_to_float
 from polymom.moments import PolytopeMomentOracle, moment_sequence
-from polymom.prony import PronyPolynomial
+from polymom.prony import PronyPolynomial, moments_needed
 from polymom.reconstruct import (
     assemble_vertices,
     choose_beta,
@@ -329,6 +335,24 @@ class TestSequenceReconstruction:
         seqs = self._sequences(tri, [(F(1), F(2))], 7)
         with pytest.raises(InputError):
             reconstruct_from_sequences(seqs, 3)
+
+    def test_float_files_oversampled(self):
+        # float mode reads the same oversampled Hankel as the adaptive
+        # pipeline, so each file must hold moments_needed(d, nmax, D, 10)
+        square = unit_square()
+        fsquare = polytope_to_float(square)
+        dirs = [(1.0, 0.3), (0.4, 1.0)]
+        combined = [tuple(a + beta * b for a, b in zip(*dirs)) for beta in (1.0, 2.0, 3.0)]
+        need = moments_needed(2, 4, 0, RunConfig().float_oversample)
+
+        def files(count):
+            return [moment_sequence(fsquare, z, count, mode="float", route="direct")
+                    for z in dirs + combined]
+
+        vs = reconstruct_from_sequences(files(need), 4)
+        assert reconstruction_error(square, vs) <= 1e-10
+        with pytest.raises(InsufficientMoments):
+            reconstruct_from_sequences(files(need - 1), 4)
 
 
 class TestReconstructionError:
