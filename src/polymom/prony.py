@@ -6,9 +6,10 @@ and read the projections off the roots of the resulting monic polynomial.
 With a polynomial density of degree D, every projection appears as a root
 of multiplicity D+1 and the rank is (D+1) N.
 
-Exact mode uses fraction-free elimination and certified rational root
-extraction; float mode uses SVD rank detection with a relative threshold
-and companion-matrix eigenvalues with root clustering.
+Exact mode reads the rank and the kernel polynomial off one
+Berlekamp-Massey pass over the scaled moments (no elimination) and
+extracts certified rational roots; float mode uses SVD rank detection with
+a relative threshold and companion-matrix eigenvalues with root clustering.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import linalg
 from .errors import (
     FullRankHankel,
+    InputError,
     InsufficientMoments,
     IrrationalRoot,
     MultiplicityMismatch,
@@ -77,6 +80,9 @@ def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
     H v = 0 exactly. Float: singular values above rank_tol * sigma_max
     count toward the rank, and the trailing right singular vectors span
     the kernel.
+
+    The pipeline does not call this. It is the independent Bareiss oracle
+    that the tests check the Berlekamp-Massey solve against.
     """
     if h.mode == EXACT:
         rank = linalg.rank_exact([list(r) for r in h.rows])
@@ -124,27 +130,81 @@ def _one_like(coeffs):
     return Fraction(1)
 
 
+def _berlekamp_massey(s, m: int):
+    """Shortest linear recurrence of s_0, s_1, ... over the rationals.
+
+    Returns (L, C) with C_0 = 1 and sum_i C_i s_{n-i} = 0 for L <= n <
+    len(s). The pass stops as soon as L reaches m: the length never
+    decreases, so the profile L_1, L_2, ... contains m exactly when that
+    first length is m (Massey 1969; Jonckheere & Ma 1989).
+    """
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for n, sn in enumerate(s):
+        disc = sn
+        for i in range(1, length + 1):
+            disc += conn[i] * s[n - i]
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc / prev_disc
+        update = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, x in enumerate(prev):
+            update[i + shift] -= coef * x
+        if 2 * length <= n:
+            prev, prev_disc = conn, disc
+            length, shift = n + 1 - length, 1
+            conn = update
+            if length >= m:
+                break
+        else:
+            conn = update
+            shift += 1
+    return length, conn
+
+
+def _exact_kernel(c, m: int) -> tuple:
+    """Exact minimal kernel vector of the m x m Hankel H[i][j] = c_{i+j+1}
+    by one Berlekamp-Massey pass over c_1..c_{2m-1}: the coefficients
+    (a_0, ..., a_{L-1}) of the kernel vector (a_0, ..., a_{L-1}, 1, 0, ...).
+
+    With L the linear complexity and C the connection polynomial, H is
+    nonsingular exactly when m appears in the length profile
+    (FullRankHankel); otherwise L >= m means the rank differs between the
+    sizes m-1 and m (RankInstability); otherwise L is the rank and
+    a_j = C_{L-j}.
+    """
+    length, conn = _berlekamp_massey(c[: 2 * m - 1], m)
+    if length == m:
+        raise FullRankHankel(
+            f"Hankel matrix of size {m} has full rank; request more moments"
+        )
+    if length > m:
+        raise RankInstability(
+            f"linear complexity {length} passes m={m} without reaching it; "
+            "direction suspect or nmax too small"
+        )
+    conn = conn + [Fraction(0)] * (length + 1 - len(conn))
+    return tuple(conn[length - j] for j in range(length))
+
+
 def minimal_kernel_vector(
     h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL, multiplicity: int = 1,
     scale=1,
 ) -> PronyPolynomial:
     """The unique kernel vector (a_0, ..., a_{M-1}, 1, 0, ..., 0) with
-    minimal M; M equals the rank for moment data from a polytope."""
+    minimal M; M equals the rank for moment data from a polytope.
+
+    Exact mode runs the Berlekamp-Massey solve on the sequence read off
+    the Hankel (first row, then last column) and raises FullRankHankel or
+    RankInstability as ``prony_polynomial_from_sequence`` does.
+    """
     if h.mode == EXACT:
-        ech = linalg.bareiss_echelon([list(r) for r in h.rows])
-        rank = ech.rank
-        if rank == h.m:
-            raise FullRankHankel(
-                f"Hankel matrix of size {h.m} has full rank; request more moments"
-            )
-        free = next(col for col in range(h.m) if col not in ech.pivots)
-        if free != rank:
-            raise RankInstability(
-                f"minimal kernel vector at position {free} but rank {rank}"
-            )
-        v = linalg.kernel_vector_for_column(ech, free)
+        last = h.m - 1
+        seq = [h.rows[max(0, k - last)][min(k, last)] for k in range(2 * h.m - 1)]
         return PronyPolynomial(
-            coeffs=tuple(v[:free]), multiplicity=multiplicity, scale=scale
+            coeffs=_exact_kernel(seq, h.m), multiplicity=multiplicity,
+            scale=scale,
         )
     rank, _ = _svd_rank(h.rows, rank_tol)
     if rank == h.m:
@@ -335,11 +395,50 @@ def _rational_roots_squarefree(coeffs):
     return roots
 
 
+# a Mersenne prime: reductions stay exact Python ints of at most 122 bits
+_CERTIFICATE_PRIME = 2**61 - 1
+
+
+def _squarefree_certificate(coeffs) -> bool:
+    """True when f (lowest-first Fractions) is certified squarefree:
+    gcd(F, F') = 1 modulo 2^61 - 1 for the denominator-cleared F, with the
+    prime not dividing F's leading coefficient. A repeated factor g^2 of F
+    would then survive the reduction at full degree and divide both, so
+    True is a proof; False only means "not certified".
+    """
+    p = _CERTIFICATE_PRIME
+    den = lcm(*(x.denominator for x in coeffs))
+    f = [x.numerator * (den // x.denominator) % p for x in coeffs]
+    if f[-1] == 0:
+        return False
+    a, b = f, [k * f[k] % p for k in range(1, len(f))]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        rem = list(a)
+        db = len(b) - 1
+        for k in range(len(rem) - 1 - db, -1, -1):
+            coef = rem[k + db] * inv % p
+            if coef:
+                for i, x in enumerate(b):
+                    rem[k + i] = (rem[k + i] - coef * x) % p
+        rem = rem[:db]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        a, b = b, rem
+    return len(a) == 1
+
+
 def roots_exact(p: PronyPolynomial) -> dict:
     """Rational roots with multiplicities; raises IrrationalRoot unless the
-    multiplicities sum to the degree."""
+    multiplicities sum to the degree.
+
+    A float-scaled polynomial (``scale != 1``) is float-mode output and is
+    rejected with InputError.
+    """
     if p.scale != 1:
-        raise IrrationalRoot("exact root extraction on a float-scaled polynomial")
+        raise InputError("exact root extraction on a float-scaled polynomial")
     full = [Fraction(a) for a in p.full_coeffs()]
     degree = len(full) - 1
     if degree == 0:
@@ -359,7 +458,10 @@ def roots_exact(p: PronyPolynomial) -> dict:
             if root_poly is not None:
                 candidates = _rational_roots_squarefree(root_poly)
         if candidates is None:
-            sf, _ = poly_divmod(work, poly_gcd(work, poly_derivative(work)))
+            if _squarefree_certificate(work):
+                sf = work
+            else:
+                sf, _ = poly_divmod(work, poly_gcd(work, poly_derivative(work)))
             candidates = _rational_roots_squarefree(sf)
         # exact deflation gives the certified multiplicity of each root
         for root in candidates:
@@ -523,7 +625,8 @@ def prony_polynomial_from_sequence(
 
     Raises FullRankHankel when nmax is too small, RankInstability when the
     rank differs between sizes m-1 and m, RankNotDivisible when the rank is
-    incompatible with the density degree.
+    incompatible with the density degree. Exact mode decides all three
+    with one Berlekamp-Massey pass over the 2m-1 scaled entries.
     """
     mult = ms.density_degree + 1
     m = hankel_size(nmax, ms.density_degree, oversample)
@@ -533,22 +636,23 @@ def prony_polynomial_from_sequence(
             f"need {need} moments for nmax={nmax} (m={m}), have {len(ms.moments)}"
         )
     c = list(scaled_moment_vector(ms, 2 * m - 2).c)
-    scale = 1
-    if ms.mode == FLOAT:
-        scale = _estimate_scale(c)
-        if scale != 1:
-            acc = 1.0
-            for k in range(1, len(c)):
-                acc *= scale
-                c[k] = c[k] / acc
+    if ms.mode == EXACT:
+        coeffs = _exact_kernel(c, m)
+        if len(coeffs) % mult:
+            raise RankNotDivisible(
+                f"rank {len(coeffs)} not divisible by multiplicity {mult}"
+            )
+        return PronyPolynomial(coeffs=coeffs, multiplicity=mult)
+    scale = _estimate_scale(c)
+    if scale != 1:
+        acc = 1.0
+        for k in range(1, len(c)):
+            acc *= scale
+            c[k] = c[k] / acc
     h = build_hankel(c, m)
     prev = h.leading(m - 1)
-    if h.mode == EXACT:
-        rank_m = linalg.rank_exact([list(r) for r in h.rows])
-        rank_prev = linalg.rank_exact([list(r) for r in prev.rows])
-    else:
-        rank_m, _ = _svd_rank(h.rows, rank_tol)
-        rank_prev, _ = _svd_rank(prev.rows, rank_tol)
+    rank_m, _ = _svd_rank(h.rows, rank_tol)
+    rank_prev, _ = _svd_rank(prev.rows, rank_tol)
     if rank_m == m:
         raise FullRankHankel(
             f"Hankel rank {rank_m} is full at m={m}; nmax={nmax} too small"

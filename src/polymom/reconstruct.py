@@ -28,6 +28,7 @@ from .config import RunConfig
 from .errors import (
     AmbiguousMatching,
     DenominatorVanishes,
+    FullRankHankel,
     InputError,
     IrrationalRoot,
     MatchingFailure,
@@ -249,8 +250,6 @@ class _Pipeline:
         re-probed at nmax and, if it reveals more vertices, returned so the
         caller can restart from it.
         """
-        from .errors import FullRankHankel
-
         last_error = None
         for _ in range(self.config.direction_retries):
             coords = self.sample_direction()

@@ -1,6 +1,7 @@
 """Hankel construction, rank/kernel extraction, and root recovery."""
 
 from fractions import Fraction
+from math import perm
 
 import pytest
 
@@ -10,12 +11,16 @@ from conftest import (
     unit_square,
     unit_triangle,
 )
+from polymom import linalg, prony
 from polymom.errors import (
     FullRankHankel,
+    InputError,
     InsufficientMoments,
     IrrationalRoot,
     MultiplicityMismatch,
+    PolymomError,
     RankInstability,
+    RankNotDivisible,
 )
 from polymom.geometry import (
     check_distinct_projections,
@@ -24,11 +29,15 @@ from polymom.geometry import (
 )
 from polymom.moments import (
     PolytopeMomentOracle,
+    MomentSequence,
     moment_sequence,
     scaled_moment_vector,
 )
+from polymom.numeric import EXACT
 from polymom.prony import (
+    _CERTIFICATE_PRIME,
     PronyPolynomial,
+    _squarefree_certificate,
     build_hankel,
     hankel_size,
     minimal_kernel_vector,
@@ -167,6 +176,99 @@ class TestMinimalKernelVector:
         assert roots_exact(p) == {}
 
 
+def _bareiss_reference(c, m, mult):
+    """The exact Prony decision by elimination: ranks at m and m-1, then the
+    kernel vector at the first free column of the Bareiss echelon."""
+    rows = [list(r) for r in build_hankel(c, m).rows]
+    rank = linalg.rank_exact(rows)
+    if rank == m:
+        raise FullRankHankel("full rank")
+    if rank != linalg.rank_exact([r[: m - 1] for r in rows[: m - 1]]):
+        raise RankInstability("rank changes between m-1 and m")
+    if rank % mult:
+        raise RankNotDivisible("rank not divisible")
+    ech = linalg.bareiss_echelon(rows)
+    free = next(col for col in range(m) if col not in ech.pivots)
+    if free != rank:
+        raise RankInstability("first free column is not the rank")
+    return tuple(linalg.kernel_vector_for_column(ech, free)[:free])
+
+
+def _outcome(fn, *args):
+    """Coefficients on success, the exception class on a PolymomError."""
+    try:
+        result = fn(*args)
+    except PolymomError as exc:
+        return type(exc)
+    return result if isinstance(result, tuple) else result.coeffs
+
+
+def _random_sequence(rng, m, deg):
+    """c_1..c_{2m-1} with ``deg`` leading zeros: a confluent exponential sum
+    (every node of multiplicity deg + 1, some nodes repeated, some entries
+    perturbed by +-1), small integers, or all zeros."""
+    n = 2 * m - 1
+    kind = rng.random()
+    if kind < 0.5:
+        nodes = [F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            nodes[-1] = nodes[0]
+        char = [F(1)]  # prod (t - x)^(deg+1), lowest-first
+        for x in nodes:
+            for _ in range(deg + 1):
+                char = [F(0)] + char
+                for i in range(len(char) - 1):
+                    char[i] -= x * char[i + 1]
+        order = len(char) - 1
+        seq = [F(0)] * deg + [F(rng.randint(-5, 5)) for _ in range(order - deg)]
+        while len(seq) < n:
+            k = len(seq)
+            seq.append(-sum(char[i] * seq[k - order + i] for i in range(order)))
+        seq = seq[:n]
+        if rng.random() < 0.3:
+            seq[rng.randrange(min(deg, n - 1), n)] += rng.choice((-1, 1))
+    elif kind < 0.95:
+        seq = [F(rng.randint(-2, 2)) for _ in range(n)]
+    else:
+        seq = [F(0)] * n
+    return [F(0)] * min(deg, n) + seq[deg:]
+
+
+class TestBerlekampMasseyMatchesBareiss:
+    """The Berlekamp-Massey solve gives the same kernel polynomial, or
+    raises the same exception class, as elimination on the Hankel."""
+
+    def test_seeded_sequences(self, rng):
+        seen = set()
+        for _ in range(1500):
+            m, deg = rng.randint(1, 6), rng.randint(0, 2)
+            c = _random_sequence(rng, m, deg)
+            mult = deg + 1
+            # m = hankel_size(nmax, deg, oversample); dim 0 makes the scaled
+            # vector c_{j+deg+1} = (j+deg)!/j! mu_j, with no sign
+            nmax = (m - 1) // mult
+            oversample = m - 1 - mult * nmax
+            assert hankel_size(nmax, deg, oversample) == m
+            ms = MomentSequence(
+                dim=0, direction=(), density_degree=deg, mode=EXACT,
+                moments=tuple(c[j + deg] / perm(j + deg, deg)
+                              for j in range(len(c) - deg)),
+            )
+            assert list(scaled_moment_vector(ms, 2 * m - 2).c) == c
+            want = _outcome(_bareiss_reference, c, m, mult)
+            got = _outcome(prony_polynomial_from_sequence, ms, nmax, 1e-8,
+                           oversample)
+            assert got == want, (c, m, deg)
+            seen.add(want if isinstance(want, type) else len(want))
+            want = _outcome(_bareiss_reference, c, m, 1)
+            got = _outcome(minimal_kernel_vector, build_hankel(c, m))
+            assert got == want, (c, m)
+        # every outcome class occurs, and kernels of several degrees
+        assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
+        assert {0, 1, 2, 3} <= seen
+
+
 class TestKernelShiftProperty:
     def test_shifts_lie_in_kernel(self, rng):
         # vectors a_l = shifted coefficients of p_z span the kernel
@@ -244,6 +346,51 @@ class TestRootsExact:
                 coeffs[i] = coeffs[i] - r * coeffs[i + 1]
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == {r: 1 for r in roots}
+
+
+def _from_roots(roots):
+    """Lowest-first coefficients of prod (t - r), leading 1 included."""
+    coeffs = [F(1)]
+    for r in roots:
+        coeffs = [F(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] = coeffs[i] - r * coeffs[i + 1]
+    return coeffs
+
+
+class TestSquarefreeCertificate:
+    def test_distinct_linear_factors_pass(self):
+        roots = [F(1, 3), F(-5, 7), F(123456, 1000003), F(7, 2), F(0), F(4)]
+        assert _squarefree_certificate(_from_roots(roots))
+
+    def test_repeated_factor_fails(self):
+        assert not _squarefree_certificate(_from_roots([F(1), F(1), F(2)]))
+        assert not _squarefree_certificate(_from_roots([F(2, 3)] * 3))
+
+    def test_prime_dividing_leading_coefficient_fails(self):
+        # (t - 1/p)(t - 2) clears to p t^2 - (2p + 1) t + 2
+        coeffs = _from_roots([F(1, _CERTIFICATE_PRIME), F(2)])
+        assert not _squarefree_certificate(coeffs)
+
+    def test_euclid_only_without_certificate(self, monkeypatch):
+        calls = []
+        euclid = prony.poly_gcd
+        monkeypatch.setattr(prony, "poly_gcd",
+                            lambda *a: calls.append(a) or euclid(*a))
+        coeffs = _from_roots([F(1, 3), F(-5, 7), F(2)])
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == {F(1, 3): 1, F(-5, 7): 1, F(2): 1}
+        assert not calls
+        # (t-1)^2 (t-2) with multiplicity hint 1 falls back to Euclid
+        coeffs = _from_roots([F(1), F(1), F(2)])
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == {F(1): 2, F(2): 1}
+        assert len(calls) == 1
+
+    def test_float_scaled_polynomial_is_bad_input(self):
+        # float-mode output, not an irrational root: exit 2, not 5
+        with pytest.raises(InputError):
+            roots_exact(PronyPolynomial((F(0), F(-1)), scale=2.0))
 
 
 class TestPolyNthRoot:
