@@ -1,14 +1,26 @@
 """Axial moments of polytopes: vertex-cone formulas and an independent
 barycentric-integration oracle.
 
-Two routes compute mu_j(z) = integral over P of <x,z>^j rho(x) dx:
+Two routes compute mu_j(z) = integral over P of <x,z>^j rho(x) dx, both in
+closed form:
 
 * ``brion``: the vertex sum mu_j = j! (-1)^d / (j+d)! * sum_v <v,z>^{j+d}
   D_v(z) with D_v(z) = |det K_v| / prod_k <w_k(v), z>, extended to
   polynomial densities by applying rho(d/dz) per homogeneous piece, and to
-  non-simple polytopes by accumulating D-tilde over a triangulation.
-* ``direct``: exact simplex-by-simplex integration through barycentric
-  coordinates (Dirichlet's formula), independent of every vertex formula.
+  non-simple polytopes by accumulating D-tilde over a triangulation. For a
+  piece of degree s the jet of <v,z+h> is <v,z> + L_v(h), so the order-s
+  jet of its k-th power has s+1 binomial terms; the contractions
+  [rho_s(d/dz) D_v L_v^i](z), i <= s, are taken once per vertex and every
+  moment index is then a scalar sum (Baldoni, Berline, De Loera, Koeppe &
+  Vergne, Math. Comp. 2011).
+* ``direct``: simplex-by-simplex integration through barycentric
+  coordinates. With the density written as sum_a r_a lambda^a and
+  c_i = <v_i,z>, Dirichlet's formula gives
+  integral of lambda^a <x,z>^j = vol a! j!/(d+|a|+j)! H_j^(a)(c), where
+  sum_j H_j^(a) t^j = prod_i (1 - c_i t)^-(a_i+1) (for a = 0 the complete
+  homogeneous symmetric polynomials; Lasserre & Avrachenkov, Amer. Math.
+  Monthly 2001). It uses no vertex cone, weight or formula of the
+  ``brion`` route, so the two stay independent checks of each other.
 
 All computations are mode-agnostic: exact inputs stay exact, float inputs
 produce floats.
@@ -19,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 from .errors import (
@@ -177,6 +189,45 @@ def axial_moment_brion(p: Polytope, z, j: int):
     return axial_moments_brion(p, z, j + 1)[j]
 
 
+def _vertex_contractions(p: Polytope, coords, piece: MultiPoly, s: int):
+    """The per-vertex data of [piece(d/dz) sum_v <v,z>^k W_v(z)](z) for a
+    homogeneous piece of degree s >= 1, for every k at once.
+
+    The jet of <v, z+h> is <v,z> + L_v(h) with L_v linear in h, so its k-th
+    power truncated at order s has s+1 binomial terms:
+    [piece(d/dz) <v,z>^k W_v(z)](z) = sum_i C(k,i) <v,z>^(k-i) e_{v,i}
+    with e_{v,i} = [piece(d/dz) W_v L_v^i](z). Returns (den, scale, rows)
+    with one row (n_v, [f_{v,0} .. f_{v,s}]) per vertex, denominators
+    cleared so that ``_contract`` runs over integers: <v,z> = n_v / scale
+    and e_{v,i} = f_{v,i} / (den * scale^i).
+    """
+    values, terms = [], []
+    for proj, weight in vertex_weight_terms(p, jet_variables(coords, s)):
+        value = proj.value()
+        lin = proj - value
+        row = [extract_diff(piece, weight)]
+        for _ in range(s):
+            weight = weight * lin
+            row.append(extract_diff(piece, weight))
+        values.append(value)
+        terms.append(row)
+    values, scale = _integerize(values)
+    flat, den = _integerize([e * scale**i for row in terms for i, e in enumerate(row)])
+    width = s + 1
+    rows = [(n, flat[k * width:(k + 1) * width]) for k, n in enumerate(values)]
+    return den, scale, rows
+
+
+def _contract(contractions, k: int):
+    """[piece(d/dz) sum_v <v,z>^k W_v(z)](z) from ``_vertex_contractions``."""
+    den, scale, rows = contractions
+    total = 0
+    for value, terms in rows:
+        for i in range(min(k, len(terms) - 1) + 1):
+            total = total + comb(k, i) * value ** (k - i) * terms[i]
+    return exact_div(total, den * scale**k)
+
+
 def _density_parts(rho: MultiPoly):
     if rho is None:
         return None
@@ -190,7 +241,8 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
 
     Each homogeneous piece rho_s contributes
     j! (-1)^d / (j+d+s)! * [rho_s(d/dz) sum_v <v,z>^{j+d+s} D_v(z)](z);
-    the jets realize the operator numerically at the evaluation point.
+    jets realize the operator at the evaluation point, contracted once per
+    vertex and piece (``_vertex_contractions``) for all j.
     """
     if rho is None or rho.is_constant():
         scale = 1 if rho is None else rho.constant_value()
@@ -205,18 +257,10 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
             for j, m in enumerate(axial_moments_brion(p, coords, count)):
                 out[j] = out[j] + c0 * m
             continue
-        jets = jet_variables(coords, s)
-        terms = vertex_weight_terms(p, jets)
-        powers = [proj ** (d + s) * w for proj, w in terms]
-        projs = [proj for proj, _ in terms]
+        contractions = _vertex_contractions(p, coords, piece, s)
         for j in range(count):
-            total = None
-            for t in powers:
-                total = t if total is None else total + t
-            val = extract_diff(piece, total)
+            val = _contract(contractions, j + d + s)
             out[j] = out[j] + exact_div(sign * val, falling(j + d + s, d + s))
-            if j + 1 < count:
-                powers = [t * proj for t, proj in zip(powers, projs)]
     return _descale(out, q)
 
 
@@ -263,18 +307,21 @@ def _substitute_density(rho, coord_polys, n_lambda):
     return total
 
 
-def _dirichlet_integral(poly: MultiPoly, d: int):
-    """Integral over the standard d-simplex of a polynomial in the d+1
-    barycentric coordinates, per the Dirichlet formula
-    integral of prod lambda_i^{a_i} = prod a_i! / (d + sum a_i)!."""
-    total = 0
-    for exp, coef in poly.terms.items():
-        total = total + coef * Fraction(mfactorial(exp), factorial(d + sum(exp)))
-    return total
+def _geometric_pass(h, c):
+    """Multiply the truncated series h by 1/(1 - c t), in place."""
+    for j in range(1, len(h)):
+        h[j] = h[j] + c * h[j - 1]
 
 
 def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = None):
-    """Ground-truth moments by barycentric integration over a triangulation."""
+    """Ground-truth moments by barycentric integration over a triangulation.
+
+    For a simplex with vertex projections c_i = <v_i, z> and the density in
+    barycentric coordinates, R(lambda) = sum_a r_a lambda^a, Dirichlet's
+    formula gives the closed form
+    mu_j += vol * sum_a r_a a! j!/(d+|a|+j)! H_j^(a)(c),
+    where sum_j H_j^(a)(c) t^j = prod_i (1 - c_i t)^-(a_i+1).
+    """
     d = p.dim
     coords, q = _integerize(_direction_coords(z))
     n_lambda = d + 1
@@ -282,23 +329,32 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     for simplex in triangulation_of(p):
         pts = [p.vertices[i] for i in simplex]
         edges = [[pts[j][t] - pts[0][t] for t in range(d)] for j in range(1, d + 1)]
-        vol_factor = abs(linalg.det_exact(edges))
-        if vol_factor == 0:
+        vol = abs(linalg.det_exact(edges))
+        if vol == 0:
             raise InputError(f"degenerate simplex {simplex}")
-        lin_terms = {}
-        for i in range(n_lambda):
-            exp = [0] * n_lambda
-            exp[i] = 1
-            c = dot(pts[i], coords)
-            if c != 0:
-                lin_terms[tuple(exp)] = c
-        lin = MultiPoly(n_lambda, lin_terms)
-        coord_polys = _lambda_coordinate_polys(pts, n_lambda)
-        cur = _substitute_density(rho, coord_polys, n_lambda)
+        # c_i = projs[i] / scale, so h_j(c) = h_j(projs) / scale^j
+        projs, scale = _integerize([dot(v, coords) for v in pts])
+        # H^(0): the complete homogeneous symmetric polynomials h_j
+        base = [1] + [0] * (count - 1)
+        for c in projs:
+            _geometric_pass(base, c)
+        density = _substitute_density(rho, _lambda_coordinate_polys(pts, n_lambda), n_lambda)
+        coefs, den = _integerize([vol * r for r in density.terms.values()])
+        # j!/(j+d+s)! = falling(j+d+top, top-s) / falling(j+d+top, d+top)
+        top = density.degree
+        acc = [0] * count
+        for exp, coef in zip(density.terms, coefs):
+            h = list(base)
+            for c, e in zip(projs, exp):
+                for _ in range(e):
+                    _geometric_pass(h, c)
+            s = sum(exp)
+            weight = coef * mfactorial(exp)
+            for j in range(count):
+                acc[j] = acc[j] + weight * falling(j + d + top, top - s) * h[j]
         for j in range(count):
-            out[j] = out[j] + vol_factor * _dirichlet_integral(cur, d)
-            if j + 1 < count:
-                cur = cur * lin
+            divisor = den * scale**j * falling(j + d + top, d + top)
+            out[j] = out[j] + exact_div(acc[j], divisor)
     out = _descale(out, q)
     if p.vertices and isinstance(p.vertices[0][0], float):
         return [float(x) for x in out]
@@ -339,12 +395,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
                 inner = inner + proj**e * w
             total = total + piece.constant_value() * fac * inner
         else:
-            jets = jet_variables(coords, s)
-            inner = None
-            for proj, w in vertex_weight_terms(p, jets):
-                t = proj**e * w
-                inner = t if inner is None else inner + t
-            total = total + fac * extract_diff(piece, inner)
+            total = total + fac * _contract(_vertex_contractions(p, coords, piece, s), e)
     return total * unscale
 
 

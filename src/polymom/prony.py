@@ -457,24 +457,26 @@ def roots_exact(p: PronyPolynomial) -> dict:
             root_poly = poly_nth_root(work, p.multiplicity)
             if root_poly is not None:
                 candidates = _rational_roots_squarefree(root_poly)
-        if candidates is None:
-            if _squarefree_certificate(work):
-                sf = work
-            else:
+        if candidates is None and _squarefree_certificate(work):
+            # certified squarefree: every root is simple, and each one found
+            # was confirmed by an exact division of a factor of work
+            result.update(dict.fromkeys(_rational_roots_squarefree(work), 1))
+        else:
+            if candidates is None:
                 sf, _ = poly_divmod(work, poly_gcd(work, poly_derivative(work)))
-            candidates = _rational_roots_squarefree(sf)
-        # exact deflation gives the certified multiplicity of each root
-        for root in candidates:
-            mult = 0
-            current = work
-            while True:
-                q, r = poly_divmod(current, [-root, Fraction(1)])
-                if r:
-                    break
-                mult += 1
-                current = q
-            if mult:
-                result[root] = mult
+                candidates = _rational_roots_squarefree(sf)
+            # exact deflation gives the certified multiplicity of each root
+            for root in candidates:
+                mult = 0
+                current = work
+                while True:
+                    q, r = poly_divmod(current, [-root, Fraction(1)])
+                    if r:
+                        break
+                    mult += 1
+                    current = q
+                if mult:
+                    result[root] = mult
     total = sum(result.values())
     if total != degree:
         raise IrrationalRoot(

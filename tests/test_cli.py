@@ -1,12 +1,15 @@
 """Command line surface: flows, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polymom
 from conftest import square_pyramid, unit_square, unit_triangle
 from polymom import cli
 from polymom.cli import main
@@ -293,11 +296,17 @@ class TestUnivarCommand:
 
 def test_console_entry_point(triangle_file, tmp_path):
     out = tmp_path / "m.json"
+    # the child must import the same polymom as this process, which pytest's
+    # own pythonpath setting does not pass on
+    src = str(Path(polymom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polymom.cli", "moments", triangle_file,
          "--direction", "1,2", "--count", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["moments"] == ["1/2", "1/2", "7/12"]

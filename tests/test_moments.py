@@ -2,13 +2,16 @@
 
 import json
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
 
 from conftest import (
     random_density,
+    random_parallelepiped,
     random_polygon,
+    random_prism,
     random_tetrahedron,
     square_pyramid,
     unit_cube,
@@ -16,7 +19,14 @@ from conftest import (
     unit_triangle,
 )
 from polymom.errors import DenominatorVanishes, InputError, InsufficientMoments
-from polymom.geometry import Polytope, sample_generic_direction
+from polymom.geometry import (
+    Polytope,
+    TangentCone,
+    dot,
+    polytope_to_float,
+    sample_generic_direction,
+)
+from polymom.linalg import det_exact
 from polymom.moments import (
     MomentSequence,
     PolytopeMomentOracle,
@@ -35,9 +45,19 @@ from polymom.moments import (
     monomial_moment,
     monomial_moments_of_degree,
     scaled_moment_vector,
+    triangulation_of,
     vertex_side_scaled_entry,
+    vertex_weight_terms,
 )
-from polymom.numeric import poly_parse
+from polymom.numeric import (
+    MultiPoly,
+    exact_div,
+    extract_diff,
+    falling,
+    jet_variables,
+    mfactorial,
+    poly_parse,
+)
 
 F = Fraction
 
@@ -136,6 +156,175 @@ class TestBrionDensity:
         out = axial_moments_brion_density(tri, (F(1), F(3)), 3, rho)
         assert all(isinstance(m, Fraction) for m in out)
         assert out == axial_moments_direct(tri, (F(1), F(3)), 3, rho)
+
+
+def _direct_reference(p, z, count, rho=None):
+    """The generic-algebra direct route: expand rho(x) <x,z>^j in the
+    barycentric coordinates with one MultiPoly product per j and integrate
+    each monomial by Dirichlet's formula."""
+    d = p.dim
+    n = d + 1
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    out = [0] * count
+    for simplex in triangulation_of(p):
+        pts = [p.vertices[i] for i in simplex]
+        vol = abs(det_exact([[pts[k][t] - pts[0][t] for t in range(d)]
+                             for k in range(1, n)]))
+        coord = [MultiPoly(n, {units[i]: pts[i][t] for i in range(n)})
+                 for t in range(d)]
+        cur = MultiPoly.constant(n, F(1))
+        if rho is not None:
+            cur = MultiPoly(n, {})
+            for exp, coef in rho.terms.items():
+                term = MultiPoly.constant(n, coef)
+                for t, e in enumerate(exp):
+                    term = term * coord[t] ** e
+                cur = cur + term
+        lin = MultiPoly(n, {units[i]: dot(pts[i], z) for i in range(n)})
+        for j in range(count):
+            for exp, coef in cur.terms.items():
+                out[j] = out[j] + vol * coef * F(mfactorial(exp), factorial(d + sum(exp)))
+            cur = cur * lin
+    return out
+
+
+def _brion_reference(p, z, count, rho=None):
+    """The jet-power Brion route: the full jet of sum_v <v,z>^(j+d+s) W_v
+    for every j and every homogeneous piece rho_s."""
+    d = p.dim
+    rho = MultiPoly.constant(d, F(1)) if rho is None else rho
+    out = [0] * count
+    for s, piece in rho.homogeneous_parts().items():
+        terms = vertex_weight_terms(p, jet_variables(tuple(z), s))
+        for j in range(count):
+            total = 0
+            for proj, w in terms:
+                total = total + proj ** (j + d + s) * w
+            val = extract_diff(piece, total)
+            out[j] = out[j] + exact_div((-1) ** d * val, falling(j + d + s, d + s))
+    return out
+
+
+def _translated(p, shift):
+    """P - shift; cones and triangulation carry over unchanged."""
+    verts = tuple(tuple(x - s for x, s in zip(v, shift)) for v in p.vertices)
+    return Polytope(dim=p.dim, vertices=verts, cones=p.cones, simplices=p.simplices)
+
+
+def _closed_form_cases(seed, n):
+    """Seeded (polytope, density, direction, count) cases for d = 2 and 3:
+    simplices, polygons, prisms, parallelepipeds and the non-simple
+    pyramid; densities of degree 0..3 and the zero density; in about half
+    the cases a vertex is moved to the origin, so that <v,z> = 0."""
+    rng = Random(seed)
+    makers = (
+        lambda: random_polygon(rng, max_vertices=3),
+        lambda: random_polygon(rng, max_vertices=6),
+        lambda: random_tetrahedron(rng),
+        lambda: random_prism(rng),
+        lambda: random_parallelepiped(rng),
+        square_pyramid,
+    )
+    for k in range(n):
+        p = makers[k % len(makers)]()
+        if rng.random() < 0.5:
+            p = _translated(p, rng.choice(p.vertices))
+        deg = rng.randint(-1, 3 if p.n_vertices <= 6 else 1)
+        rho = MultiPoly(p.dim, {}) if deg < 0 else random_density(rng, p.dim, deg)
+        count = rng.randint(0, 12)
+        while True:
+            z = sample_generic_direction(p.dim, 1009, rng).coords
+            try:
+                vertex_weight_terms(p, z)
+                break
+            except DenominatorVanishes:
+                continue
+        yield p, rho, z, count
+
+
+def _as_rational(p):
+    """The exact polytope that a float polytope stands for."""
+    def conv(t):
+        return tuple(F(x) for x in t)
+
+    cones = None
+    if p.cones is not None:
+        cones = tuple(TangentCone(c.vertex, tuple(map(conv, c.edges)), F(c.det))
+                      for c in p.cones)
+    return Polytope(dim=p.dim, vertices=tuple(map(conv, p.vertices)), cones=cones,
+                    simplices=p.simplices)
+
+
+def _relative_error(values, exact):
+    return max((abs(F(a) - b) / abs(b) if b else abs(F(a))
+                for a, b in zip(values, exact)), default=0)
+
+
+class TestClosedForms:
+    """The closed-form routes against the generic-algebra routes they
+    replace, kept here as references."""
+
+    def test_exact_against_references(self):
+        seen_zero_projection = False
+        for p, rho, z, count in _closed_form_cases(7, 36):
+            direct = axial_moments_direct(p, z, count, rho)
+            brion = axial_moments_brion_density(p, z, count, rho)
+            assert direct == _direct_reference(p, z, count, rho)
+            assert brion == _brion_reference(p, z, count, rho)
+            assert brion == direct
+            assert all(isinstance(m, Fraction) for m in direct)
+            seen_zero_projection |= any(dot(v, z) == 0 for v in p.vertices)
+        assert seen_zero_projection
+
+    def test_vertex_side_entries_match_moments(self):
+        # the companion identities' vertex side runs through the same
+        # per-vertex contraction: it must equal c from the moments for all k
+        for p, rho, z, count in _closed_form_cases(8, 12):
+            lead = p.dim + rho.degree
+            k_max = lead + count - 1
+            c = scaled_moment_vector(moment_sequence(p, z, count, rho), k_max).c
+            for k in range(k_max + 1):
+                assert vertex_side_scaled_entry(p, z, k, rho) == c[k], k
+
+    def test_float_against_references(self):
+        # float inputs read back as rationals give the exact value that both
+        # float routes approximate
+        for p, rho, z, count in _closed_form_cases(9, 18):
+            pf, rf = polytope_to_float(p), rho.to_float()
+            zf = tuple(float(x) for x in z)
+            exact = axial_moments_direct(
+                _as_rational(pf), tuple(map(F, zf)), count,
+                MultiPoly(p.dim, {e: F(c) for e, c in rf.terms.items()}))
+            direct = axial_moments_direct(pf, zf, count, rf)
+            brion = axial_moments_brion_density(pf, zf, count, rf)
+            assert len(direct) == len(brion) == count
+            assert all(isinstance(m, float) for m in direct + brion)
+            for a, b in zip(direct, _direct_reference(pf, zf, count, rf)):
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (a, b)
+            assert _relative_error(direct, exact) <= 1e-12
+            # the vertex sum cancels, and the jet-power route it replaces is
+            # off by up to about 1e-11 here: hold the closed form to the
+            # same accuracy rather than to agreement with that route
+            ref_error = _relative_error(_brion_reference(pf, zf, count, rf), exact)
+            assert _relative_error(brion, exact) <= max(10 * ref_error, 1e-14)
+
+    def test_uniform_density_is_complete_homogeneous(self):
+        # int over the simplex of <x,z>^j = vol j!/(j+d)! h_j(c_0..c_d)
+        tri = unit_triangle()
+        z = (F(2), F(5))
+        h = [1, 7, 39, 203]  # h_j(0, 2, 5)
+        want = [F(factorial(j), factorial(j + 2)) * h[j] for j in range(4)]
+        assert axial_moments_direct(tri, z, 4) == want
+
+    def test_degenerate_simplex_rejected(self):
+        flat = Polytope(
+            dim=2,
+            vertices=((F(0), F(0)), (F(1), F(1)), (F(2), F(2))),
+            simplices=((0, 1, 2),),
+        )
+        for count in (0, 3):
+            with pytest.raises(InputError, match="degenerate"):
+                axial_moments_direct(flat, (F(1), F(2)), count)
 
 
 class TestCompanionIdentities:

@@ -387,6 +387,19 @@ class TestSquarefreeCertificate:
         assert got == {F(1): 2, F(2): 1}
         assert len(calls) == 1
 
+    def test_certified_roots_are_not_deflated_again(self, monkeypatch):
+        # with the certificate each root is simple: one exact division per
+        # root while searching, none to count multiplicities afterwards
+        calls = []
+        divmod_ = prony.poly_divmod
+        monkeypatch.setattr(prony, "poly_divmod",
+                            lambda *a: calls.append(a) or divmod_(*a))
+        roots = [F(1, 3), F(-5, 7), F(2), F(9, 4)]
+        coeffs = _from_roots(roots + [F(0)])
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == {F(0): 1, **{r: 1 for r in roots}}
+        assert len(calls) == len(roots)
+
     def test_float_scaled_polynomial_is_bad_input(self):
         # float-mode output, not an irrational root: exit 2, not 5
         with pytest.raises(InputError):
