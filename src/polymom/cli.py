@@ -70,10 +70,9 @@ def _parse_direction(text, dim, mode):
     return coords
 
 
-def _config_from_args(args, mode, density_degree=0):
+def _config_from_args(args, mode):
     return RunConfig(
         mode=mode,
-        density_degree=density_degree,
         denominator=getattr(args, "denominator", DEFAULT_DENOMINATOR),
         seed=getattr(args, "seed", None),
         rank_tol=getattr(args, "rank_tol", 1e-8),
@@ -152,14 +151,14 @@ def cmd_reconstruct(args):
     mode = args.mode
     if args.oracle_polytope:
         oracle = _build_oracle(args, load_polytope(args.oracle_polytope, mode), mode)
-        config = _config_from_args(args, mode, oracle.density_degree)
+        config = _config_from_args(args, mode)
         vs = reconstruct(
             oracle, args.nmax, config, rng=Random(args.seed), self_check=False
         )
     elif args.moments:
         sequences = [load_moments(path) for path in args.moments]
         mode = sequences[0].mode
-        config = _config_from_args(args, mode, sequences[0].density_degree)
+        config = _config_from_args(args, mode)
         vs = reconstruct_from_sequences(sequences, args.nmax, config)
     else:
         raise InputError("supply --oracle-polytope or --moments files")
@@ -172,7 +171,7 @@ def cmd_roundtrip(args):
     mode = args.mode
     truth = load_polytope(args.polytope, mode)
     oracle = _build_oracle(args, truth, mode)
-    config = _config_from_args(args, mode, oracle.density_degree)
+    config = _config_from_args(args, mode)
     rng = Random(args.seed)
     if args.method == "frugal":
         vs = match_frugal_d_plus_1(oracle, args.nmax, config, rng)
@@ -200,7 +199,7 @@ def cmd_roundtrip(args):
 def cmd_univar(args):
     mode = args.mode
     oracle = _build_oracle(args, load_polytope(args.oracle_polytope, mode), mode)
-    config = _config_from_args(args, mode, oracle.density_degree)
+    config = _config_from_args(args, mode)
     vs = vertices_univar(oracle, args.nmax, config, Random(args.seed))
     _write_json(_vertex_doc(vs), args.out)
     _write_json(_diagnostics(vs), args.diagnostics)

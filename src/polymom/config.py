@@ -18,7 +18,6 @@ class RunConfig:
     """
 
     mode: str = EXACT
-    density_degree: int = 0
     denominator: int = DEFAULT_DENOMINATOR
     seed: int | None = None
     rank_tol: float = 1e-8
@@ -44,8 +43,6 @@ class RunConfig:
             raise InputError("direction_retries must be at least 1")
         if self.beta_trials is not None and self.beta_trials < 1:
             raise InputError("beta_trials must be at least 1")
-        if self.density_degree < 0:
-            raise InputError("density_degree must be nonnegative")
         if self.noise < 0:
             raise InputError("noise must be nonnegative")
         if self.noise and self.mode == EXACT:

@@ -284,21 +284,25 @@ def polytope_from_json(doc, mode=EXACT) -> Polytope:
         vertices = tuple(
             tuple(scalar_from_json(x, mode) for x in v) for v in doc["vertices"]
         )
-    except (KeyError, TypeError) as exc:
+        if any(len(v) != d for v in vertices):
+            raise InputError(f"every vertex needs {d} coordinates")
+        cones = None
+        if doc.get("cones") is not None:
+            cones = []
+            for c in doc["cones"]:
+                edges = tuple(tuple(scalar_from_json(x, mode) for x in e) for e in c["edges"])
+                if len(edges) != d or any(len(e) != d for e in edges):
+                    raise InputError(f"every cone needs {d} edges of {d} coordinates")
+                det = abs(linalg.det_exact([list(col) for col in zip(*edges)]))
+                if mode == FLOAT:
+                    det = float(det)
+                cones.append(TangentCone(vertex=int(c["vertex"]), edges=edges, det=det))
+            cones = tuple(cones)
+        simplices = None
+        if doc.get("simplices") is not None:
+            simplices = tuple(tuple(int(i) for i in s) for s in doc["simplices"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad polytope document: {exc}") from None
-    cones = None
-    if doc.get("cones") is not None:
-        cones = []
-        for c in doc["cones"]:
-            edges = tuple(tuple(scalar_from_json(x, mode) for x in e) for e in c["edges"])
-            det = abs(linalg.det_exact([list(col) for col in zip(*edges)]))
-            if mode == FLOAT:
-                det = float(det)
-            cones.append(TangentCone(vertex=int(c["vertex"]), edges=edges, det=det))
-        cones = tuple(cones)
-    simplices = None
-    if doc.get("simplices") is not None:
-        simplices = tuple(tuple(int(i) for i in s) for s in doc["simplices"])
     return Polytope(dim=d, vertices=vertices, cones=cones, simplices=simplices)
 
 

@@ -514,15 +514,18 @@ def moments_to_json(ms: MomentSequence) -> dict:
 def moments_from_json(doc) -> MomentSequence:
     try:
         mode = doc.get("mode", EXACT)
-        return MomentSequence(
+        ms = MomentSequence(
             dim=int(doc["dim"]),
             direction=tuple(scalar_from_json(x, mode) for x in doc["direction"]),
             density_degree=int(doc.get("density_degree", 0)),
             mode=mode,
             moments=tuple(scalar_from_json(m, mode) for m in doc["moments"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"bad moment document: {exc}") from None
+    if ms.density_degree < 0:
+        raise InputError("density_degree must be nonnegative")
+    return ms
 
 
 def save_moments(ms: MomentSequence, path):

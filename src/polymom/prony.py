@@ -7,9 +7,12 @@ With a polynomial density of degree D, every projection appears as a root
 of multiplicity D+1 and the rank is (D+1) N.
 
 Exact mode reads the rank and the kernel polynomial off one
-Berlekamp-Massey pass over the scaled moments (no elimination) and
-extracts certified rational roots; float mode uses SVD rank detection with
-a relative threshold and companion-matrix eigenvalues with root clustering.
+Berlekamp-Massey pass over the scaled moments (no elimination). Its
+rational roots r = u/s are the integer roots u of the monic integer
+polynomial s^n p(u/s) (Gauss's lemma): integer Newton lifts float seeds to
+them and an exact evaluation certifies each one. Float mode uses SVD rank
+detection with a relative threshold and companion-matrix eigenvalues with
+root clustering.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -76,18 +78,17 @@ def _svd_rank(rows, rank_tol):
 def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
     """Rank and a kernel basis.
 
-    Exact: fraction-free Gaussian elimination; the basis vectors satisfy
-    H v = 0 exactly. Float: singular values above rank_tol * sigma_max
-    count toward the rank, and the trailing right singular vectors span
-    the kernel.
+    Exact: one fraction-free Gaussian elimination; the basis vectors
+    satisfy H v = 0 exactly and the rank is m minus their number. Float:
+    singular values above rank_tol * sigma_max count toward the rank, and
+    the trailing right singular vectors span the kernel.
 
     The pipeline does not call this. It is the independent Bareiss oracle
     that the tests check the Berlekamp-Massey solve against.
     """
     if h.mode == EXACT:
-        rank = linalg.rank_exact([list(r) for r in h.rows])
         basis = linalg.kernel_basis([list(r) for r in h.rows])
-        return rank, basis
+        return h.m - len(basis), basis
     a = np.array(h.rows, dtype=float)
     rank, _ = _svd_rank(h.rows, rank_tol)
     _, _, vh = np.linalg.svd(a)
@@ -331,152 +332,95 @@ def _poly_mul(a, b):
     return out
 
 
-_PROBE_DIGITS = (1, 3, 6, 9, 12, 15, 18, 24, 30, 38, 45)
+def _integer_seeds(g, s):
+    """Rounded float roots of g, found in t = u/s (in u the coefficients
+    can overflow a double); seeds far off the real axis are dropped."""
+    n = len(g) - 1
+    t = [Fraction(c, s ** (n - i)) for i, c in enumerate(g)]
+    mx = max(abs(x) for x in t)
+    roots = np.roots([float(x / mx) for x in reversed(t)])
+    return {round(Fraction(r.real) * s) for r in roots
+            if abs(r.imag) <= 0.5 * (1 + abs(r.real))}
 
 
-def _newton_rational_root(coeffs, dcoeffs, seed, max_iter=48):
-    """Polish a float seed to an exact rational root, or None.
-
-    Newton iteration in exact rational arithmetic with denominator capping;
-    candidate roots are probed via continued-fraction rounding and verified
-    by exact evaluation.
-    """
-    x = Fraction(seed).limit_denominator(10**17)
-    for _ in range(max_iter):
-        for digits in _PROBE_DIGITS:
-            cand = x.limit_denominator(10**digits)
-            if poly_eval(coeffs, cand) == 0:
-                return cand
-        fx = poly_eval(coeffs, x)
-        if fx == 0:
-            return x
-        dfx = poly_eval(dcoeffs, x)
-        if dfx == 0:
+def _lift(g, dg, u):
+    """Integer Newton u <- u - round(g(u)/g'(u)) from a seed, for at most
+    64 steps: the root reached, certified by g(u) = 0, or None."""
+    for _ in range(64):
+        gu = poly_eval(g, u)
+        if gu == 0:
+            return u
+        du = poly_eval(dg, u)
+        if du == 0:  # a close pair's seed can land on the integer midpoint
+            u += 1
+            continue
+        step = (2 * gu + du) // (2 * du)
+        if step == 0:
             return None
-        x = (x - fx / dfx).limit_denominator(10**100)
+        u -= step
     return None
 
 
-def _float_root_seeds(coeffs):
-    """Approximate roots of a rational polynomial, as floats."""
-    c = _poly_trim(coeffs)
-    if len(c) <= 1:
-        return []
-    mx = max(abs(x) for x in c)
-    arr = np.array([float(x / mx) for x in reversed(c)], dtype=float)
-    return [complex(r) for r in np.roots(arr)]
-
-
-def _rational_roots_squarefree(coeffs):
-    """All rational roots of a squarefree rational polynomial.
-
-    Each confirmed root is deflated exactly and the remaining polynomial is
-    re-seeded, so clustered roots cannot shadow each other in the float
-    seeding stage.
-    """
-    roots = set()
-    work = [Fraction(x) for x in coeffs]
-    while len(work) > 1:
-        dwork = poly_derivative(work)
-        found = None
-        for seed in _float_root_seeds(work):
-            if abs(seed.imag) > 0.5:
-                continue
-            r = _newton_rational_root(work, dwork, seed.real)
-            if r is not None and r not in roots:
-                q, rem = poly_divmod(work, [-r, Fraction(1)])
-                if not rem:
-                    found = r
-                    work = q
-                    break
-        if found is None:
+def _integer_roots(g, s):
+    """Distinct integer roots of the monic integer polynomial g, and the
+    quotient of g by (u - u_i) over them. Each pass divides g by every new
+    root, so roots that shared a seed get seeds of their own in the next
+    pass; a pass that finds nothing new ends the search."""
+    found = set()
+    while len(g) > 1:
+        dg = poly_derivative(g)
+        new = {_lift(g, dg, u) for u in _integer_seeds(g, s)} - found - {None}
+        if not new:
             break
-        roots.add(found)
-    return roots
-
-
-# a Mersenne prime: reductions stay exact Python ints of at most 122 bits
-_CERTIFICATE_PRIME = 2**61 - 1
-
-
-def _squarefree_certificate(coeffs) -> bool:
-    """True when f (lowest-first Fractions) is certified squarefree:
-    gcd(F, F') = 1 modulo 2^61 - 1 for the denominator-cleared F, with the
-    prime not dividing F's leading coefficient. A repeated factor g^2 of F
-    would then survive the reduction at full degree and divide both, so
-    True is a proof; False only means "not certified".
-    """
-    p = _CERTIFICATE_PRIME
-    den = lcm(*(x.denominator for x in coeffs))
-    f = [x.numerator * (den // x.denominator) % p for x in coeffs]
-    if f[-1] == 0:
-        return False
-    a, b = f, [k * f[k] % p for k in range(1, len(f))]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        rem = list(a)
-        db = len(b) - 1
-        for k in range(len(rem) - 1 - db, -1, -1):
-            coef = rem[k + db] * inv % p
-            if coef:
-                for i, x in enumerate(b):
-                    rem[k + i] = (rem[k + i] - coef * x) % p
-        rem = rem[:db]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        a, b = b, rem
-    return len(a) == 1
+        found |= new
+        for u in new:
+            quotient, acc = [0] * (len(g) - 1), 0
+            for i in range(len(g) - 1, 0, -1):
+                acc = acc * u + g[i]
+                quotient[i - 1] = acc
+            g = quotient
+    return found, g
 
 
 def roots_exact(p: PronyPolynomial) -> dict:
     """Rational roots with multiplicities; raises IrrationalRoot unless the
     multiplicities sum to the degree.
 
+    The roots are searched on the multiplicity hint's n-th root of the
+    polynomial when it exists, else on the polynomial itself, and then on
+    the squarefree part (Euclid over Q) of any remainder that search
+    leaves. A root's multiplicity is the number of derivatives of the
+    searched polynomial that vanish at it, times the hint's power.
+
     A float-scaled polynomial (``scale != 1``) is float-mode output and is
     rejected with InputError.
     """
     if p.scale != 1:
         raise InputError("exact root extraction on a float-scaled polynomial")
-    full = [Fraction(a) for a in p.full_coeffs()]
-    degree = len(full) - 1
-    if degree == 0:
-        return {}
-    # zero roots come off as a power of t
-    k0 = 0
-    while full[k0] == 0:
-        k0 += 1
-    work = full[k0:]
+    work = [Fraction(a) for a in p.full_coeffs()]
+    degree = len(work) - 1
     result = {}
-    if k0:
-        result[Fraction(0)] = k0
-    if len(work) > 1:
-        candidates = None
-        if p.multiplicity > 1 and (len(work) - 1) % p.multiplicity == 0:
-            root_poly = poly_nth_root(work, p.multiplicity)
-            if root_poly is not None:
-                candidates = _rational_roots_squarefree(root_poly)
-        if candidates is None and _squarefree_certificate(work):
-            # certified squarefree: every root is simple, and each one found
-            # was confirmed by an exact division of a factor of work
-            result.update(dict.fromkeys(_rational_roots_squarefree(work), 1))
-        else:
-            if candidates is None:
-                sf, _ = poly_divmod(work, poly_gcd(work, poly_derivative(work)))
-                candidates = _rational_roots_squarefree(sf)
-            # exact deflation gives the certified multiplicity of each root
-            for root in candidates:
-                mult = 0
-                current = work
-                while True:
-                    q, r = poly_divmod(current, [-root, Fraction(1)])
-                    if r:
-                        break
-                    mult += 1
-                    current = q
-                if mult:
-                    result[root] = mult
+    if degree:
+        k = p.multiplicity
+        base = (poly_nth_root(work, k) if k > 1 else None) or work
+        # g(u) = s^n base(u/s) is monic over the integers once s has grown
+        # until each c_{n-j} s^j is an integer; its roots u give r = u/s
+        n, s = len(base) - 1, 1
+        for j in range(1, n + 1):
+            s *= (base[n - j] * s**j).denominator
+        g = [c.numerator * s ** (n - i) // c.denominator for i, c in enumerate(base)]
+        found, rest = _integer_roots(g, s)
+        if len(rest) > 1:
+            # irrational roots are left, or repeated ones at which integer
+            # Newton can stall; the squarefree part has only simple roots
+            sf, _ = poly_divmod(rest, poly_gcd(rest, poly_derivative(rest)))
+            found |= _integer_roots([int(c) for c in sf], s)[0]
+        power = degree // n
+        for u in found:
+            mult, dg = 0, g
+            while poly_eval(dg, u) == 0:
+                mult, dg = mult + 1, poly_derivative(dg)
+            result[Fraction(u, s)] = power * mult
     total = sum(result.values())
     if total != degree:
         raise IrrationalRoot(

@@ -214,13 +214,19 @@ class _Pipeline:
             sep, self.oversample,
         )
 
-    def poly_at(self, coords, n_for_hankel) -> PronyPolynomial:
-        ms = sequence_from_oracle(
-            self.oracle, coords, n_for_hankel, self.oversample
+    def poly_at(self, coords, n) -> PronyPolynomial:
+        """Kernel polynomial of a combined direction, on which all n
+        vertices must show; any other rank raises RankInstability."""
+        ms = sequence_from_oracle(self.oracle, coords, n, self.oversample)
+        pz = prony_polynomial_from_sequence(
+            ms, n, self.config.rank_tol, self.oversample
         )
-        return prony_polynomial_from_sequence(
-            ms, n_for_hankel, self.config.rank_tol, self.oversample
-        )
+        rank = (self.oracle.density_degree + 1) * n
+        if pz.degree != rank:
+            raise RankInstability(
+                f"combined direction rank {pz.degree} != {rank}"
+            )
+        return pz
 
     def acquire_first(self):
         # IrrationalRoot counts as a bad direction here: a cone pole can
@@ -438,7 +444,6 @@ def reconstruct(
     pipe = _Pipeline(oracle, nmax, config, rng)
     d = oracle.dim
     prov = pipe.prov
-    mult = oracle.density_degree + 1
 
     base = pipe.acquire_base()
     z1, proj1 = base[0]
@@ -454,12 +459,7 @@ def reconstruct(
 
             def poly_for_beta(beta, _zi=zi):
                 coords = tuple(a + beta * b for a, b in zip(z1, _zi))
-                pz = pipe.poly_at(coords, n)
-                if pz.degree != mult * n:
-                    raise RankInstability(
-                        f"combined direction rank {pz.degree} != {mult * n}"
-                    )
-                return pz
+                return pipe.poly_at(coords, n)
 
             try:
                 beta, pairing, failures = choose_beta(
@@ -531,7 +531,6 @@ def match_frugal_d_plus_1(
     pipe = _Pipeline(oracle, nmax, config, rng)
     d = oracle.dim
     prov = pipe.prov
-    mult = oracle.density_degree + 1
 
     base = pipe.acquire_base()
     n = base[0][1].n
@@ -556,8 +555,6 @@ def match_frugal_d_plus_1(
         )
         try:
             pz = pipe.poly_at(coords, n)
-            if pz.degree != mult * n:
-                raise RankInstability("combined direction rank deficient")
         except (NonGenericDirection, DenominatorVanishes):
             prov.retries += 1
             continue
@@ -625,7 +622,6 @@ def reconstruct_from_sequences(
     d = oracle.dim
     mode = pipe.config.mode
     prov = pipe.prov
-    mult = oracle.density_degree + 1
 
     base = []
     combined = []
@@ -660,8 +656,6 @@ def reconstruct_from_sequences(
                 continue
             try:
                 pz = pipe.poly_at(coords, n)
-                if pz.degree != mult * n:
-                    raise RankInstability("combined direction rank deficient")
                 pairing = match_projections(
                     x1, projs[i].values, beta, pz, mode, pipe.config.match_tol
                 )

@@ -108,8 +108,6 @@ def interpolate_fab(oracle, a, b, n, pipeline=None, config=None, known_pa=None):
         coords = tuple(x + s * y for x, y in zip(a, b))
         try:
             pz = pipe.poly_at(coords, n)
-            if pz.degree != mult * n:
-                raise RankInstability("combined sample rank deficient")
             polys.append(_squarefree_projection_poly(pz, mult))
             nodes.append(s)
         except (NonGenericDirection, DenominatorVanishes):

@@ -33,6 +33,42 @@ def square_file(tmp_path):
     return str(path)
 
 
+TRIANGLE_DOC = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+MOMENT_DOC = {"dim": 2, "direction": ["1", "2"], "mode": "exact",
+              "moments": ["1/2", "1/2", "7/12", "3/4", "31/30", "3/2"]}
+MOMENTS_ARGS = ["--direction", "1,2", "--count", "4"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("moments", {**TRIANGLE_DOC, "vertices": [[0, 0], [1, 0], [0]]}),
+    ("moments", {**TRIANGLE_DOC, "cones": [{"vertex": 0}]}),
+    ("moments", {**TRIANGLE_DOC, "cones": [{"vertex": 0, "edges": [[1, 0]]}]}),
+    ("moments", {**TRIANGLE_DOC, "dim": "two"}),
+    ("moments", {**TRIANGLE_DOC, "simplices": [[0, 1, "x"]]}),
+    ("reconstruct", {**MOMENT_DOC, "density_degree": "x"}),
+    ("reconstruct", [MOMENT_DOC]),
+], ids=["vertex-length", "cone-without-edges", "cone-edge-count", "dim-not-int",
+        "simplex-index-not-int", "density-degree-not-int", "not-an-object"])
+def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "moments":
+        code = main(["moments", str(path), *MOMENTS_ARGS])
+    else:
+        code = main(["reconstruct", "--moments", str(path), "--nmax", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and "Traceback" not in err
+
+
+def test_negative_density_degree_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**MOMENT_DOC, "density_degree": -1}))
+    code = main(["reconstruct", "--moments", str(path), "--nmax", "3"])
+    assert code == 2
+    assert "density_degree" in capsys.readouterr().err
+
+
 class TestMoments:
     def test_triangle_moments(self, triangle_file, tmp_path):
         out = tmp_path / "m.json"

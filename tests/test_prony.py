@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import perm
+from random import Random
 
 import pytest
 
@@ -35,9 +36,7 @@ from polymom.moments import (
 )
 from polymom.numeric import EXACT
 from polymom.prony import (
-    _CERTIFICATE_PRIME,
     PronyPolynomial,
-    _squarefree_certificate,
     build_hankel,
     hankel_size,
     minimal_kernel_vector,
@@ -358,19 +357,86 @@ def _from_roots(roots):
     return coeffs
 
 
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _root_case(rng):
+    """(coeffs, hint, expected multiset or None) over the families of the
+    root search: 1-14 distinct roots over one common denominator or mixed
+    ones up to 10007^2, sometimes a close pair (1e-3 to 1e-10 relative),
+    multiplicities 1-3 with and without the hint, and an irreducible
+    quadratic factor (expected None) in about a fifth of the cases."""
+    dens = (1, 7, 10007, 10007**2, 7 * 1000003)
+    q = rng.choice(dens)
+    roots = set()
+    for _ in range(rng.randint(1, 14)):
+        den = q if rng.random() < 0.6 else rng.choice((rng.randint(1, 10007**2),) + dens)
+        roots.add(F(rng.randint(-3 * den, 3 * den), den))
+    roots = sorted(roots)
+    if rng.random() < 0.3:
+        rel = F(1, 10 ** rng.choice((3, 6, 8, 10)) * rng.randint(1, 9))
+        pair = roots[0] + (abs(roots[0]) + 1) * rel
+        if pair not in roots:
+            roots.append(pair)
+    k = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        hint, mults = k, [k] * len(roots)
+    else:
+        hint, mults = 1, [rng.randint(1, 3) for _ in roots]
+    coeffs = _from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+    expected = dict(zip(roots, mults))
+    if rng.random() < 0.2:
+        # t^2 - a with a not a square, or t^2 + t + b with 4b > 1
+        a = rng.choice((2, 3, 5, 7)) * F(rng.randint(1, 9), rng.randint(1, 9)) ** 2
+        quad = [-a, F(0), F(1)] if rng.random() < 0.5 else [a, F(1), F(1)]
+        for _ in range(hint):
+            coeffs = _times(coeffs, quad)
+        expected = None
+    return tuple(coeffs[:-1]), hint, expected
+
+
+class TestRootSearch:
+    def test_seeded_root_multisets(self):
+        rng = Random(6)
+        outcomes = set()
+        for _ in range(60):
+            coeffs, hint, expected = _root_case(rng)
+            poly = PronyPolynomial(coeffs, multiplicity=hint)
+            if expected is None:
+                with pytest.raises(IrrationalRoot):
+                    roots_exact(poly)
+            else:
+                assert roots_exact(poly) == expected
+            outcomes.add((expected is None, hint > 1))
+        assert len(outcomes) == 4
+
+    def test_close_pair_seeded_on_the_midpoint(self):
+        # roots (m -+ 1)/7: with s = 7, g(u) = (u - m)^2 - 1 and both float
+        # seeds round to the midpoint m, where g'(m) = 0
+        m = 10**9
+        roots = [F(m - 1, 7), F(m + 1, 7)]
+        coeffs = _from_roots(roots)
+        assert prony._integer_seeds([m * m - 1, -2 * m, 1], 7) == {m}
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == dict.fromkeys(roots, 1)
+
+    def test_many_roots_over_one_denominator(self):
+        rng = Random(32)
+        q = 7 * 1000003
+        roots = [F(x, q) for x in rng.sample(range(-5 * q, 5 * q), 32)]
+        coeffs = _from_roots(roots)
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == dict.fromkeys(roots, 1)
+
+
 class TestSquarefreeCertificate:
-    def test_distinct_linear_factors_pass(self):
-        roots = [F(1, 3), F(-5, 7), F(123456, 1000003), F(7, 2), F(0), F(4)]
-        assert _squarefree_certificate(_from_roots(roots))
-
-    def test_repeated_factor_fails(self):
-        assert not _squarefree_certificate(_from_roots([F(1), F(1), F(2)]))
-        assert not _squarefree_certificate(_from_roots([F(2, 3)] * 3))
-
-    def test_prime_dividing_leading_coefficient_fails(self):
-        # (t - 1/p)(t - 2) clears to p t^2 - (2p + 1) t + 2
-        coeffs = _from_roots([F(1, _CERTIFICATE_PRIME), F(2)])
-        assert not _squarefree_certificate(coeffs)
+    """How roots_exact certifies: an exact evaluation per root, and Euclid
+    over Q only for what the integer search leaves."""
 
     def test_euclid_only_without_certificate(self, monkeypatch):
         calls = []
@@ -388,17 +454,18 @@ class TestSquarefreeCertificate:
         assert len(calls) == 1
 
     def test_certified_roots_are_not_deflated_again(self, monkeypatch):
-        # with the certificate each root is simple: one exact division per
-        # root while searching, none to count multiplicities afterwards
+        # integer lifting certifies each root by exact evaluation: neither
+        # Euclid nor a rational division runs on a squarefree polynomial
         calls = []
-        divmod_ = prony.poly_divmod
-        monkeypatch.setattr(prony, "poly_divmod",
-                            lambda *a: calls.append(a) or divmod_(*a))
+        for name in ("poly_divmod", "poly_gcd"):
+            fn = getattr(prony, name)
+            monkeypatch.setattr(prony, name,
+                                lambda *a, _fn=fn: calls.append(a) or _fn(*a))
         roots = [F(1, 3), F(-5, 7), F(2), F(9, 4)]
         coeffs = _from_roots(roots + [F(0)])
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == {F(0): 1, **{r: 1 for r in roots}}
-        assert len(calls) == len(roots)
+        assert not calls
 
     def test_float_scaled_polynomial_is_bad_input(self):
         # float-mode output, not an irrational root: exit 2, not 5
