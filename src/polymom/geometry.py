@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InputError
-from .numeric import EXACT, FLOAT, scalar_from_json, scalar_to_json
+from .numeric import EXACT, FLOAT, index_from_json, scalar_from_json, scalar_to_json
 
 # Smallest prime >= 10^6; default denominator for rational direction sampling.
 DEFAULT_DENOMINATOR = 1000003
@@ -280,7 +280,7 @@ def polytope_to_json(p: Polytope) -> dict:
 
 def polytope_from_json(doc, mode=EXACT) -> Polytope:
     try:
-        d = int(doc["dim"])
+        d = index_from_json(doc["dim"], "dim")
         vertices = tuple(
             tuple(scalar_from_json(x, mode) for x in v) for v in doc["vertices"]
         )
@@ -296,11 +296,13 @@ def polytope_from_json(doc, mode=EXACT) -> Polytope:
                 det = abs(linalg.det_exact([list(col) for col in zip(*edges)]))
                 if mode == FLOAT:
                     det = float(det)
-                cones.append(TangentCone(vertex=int(c["vertex"]), edges=edges, det=det))
+                cones.append(TangentCone(vertex=index_from_json(c["vertex"], "cone vertex"),
+                                         edges=edges, det=det))
             cones = tuple(cones)
         simplices = None
         if doc.get("simplices") is not None:
-            simplices = tuple(tuple(int(i) for i in s) for s in doc["simplices"])
+            simplices = tuple(tuple(index_from_json(i, "simplex index") for i in s)
+                                  for s in doc["simplices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad polytope document: {exc}") from None
     return Polytope(dim=d, vertices=vertices, cones=cones, simplices=simplices)

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over rationals.
 
-Rank and echelon forms use fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy, so intermediate entries stay integral;
-kernel vectors and solves are then recovered over Fraction. Pivoting is
-deterministic: the first row with a nonzero entry wins.
+Rank and echelon forms use fraction-free (Bareiss) elimination on an
+integer copy whose rows have their own denominators cleared, so
+intermediate entries stay integral; kernel vectors and solves are then
+recovered over Fraction. Pivoting is deterministic: the first row with a
+nonzero entry wins.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ from math import lcm
 from .errors import InputError
 
 
-def _coerce(x) -> Fraction:
-    # Fraction(float) is the exact binary value, so this stays lossless.
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _to_integer_matrix(rows):
-    """Scale a rational matrix by the lcm of all denominators; returns the
-    integer rows and that lcm."""
-    rows = [[_coerce(x) for x in row] for row in rows]
-    denom = 1
+    """Scale each row of a rational matrix by the lcm of its own
+    denominators; returns the integer rows and the product of those lcms.
+    Row scaling leaves the rank and the kernel unchanged."""
+    out, denom = [], 1
     for row in rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    return [[int(x * denom) for x in row] for row in rows], denom
+        # Fraction(float) is the exact binary value, so this stays lossless
+        row = [Fraction(x) if isinstance(x, float) else x for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+        denom *= scale
+    return out, denom
 
 
 class Echelon:
@@ -49,20 +48,13 @@ class Echelon:
 def _eliminate(matrix):
     """Fraction-free (Bareiss) elimination of the denominator-cleared copy
     of ``matrix``. Returns the echelon form, the sign of its row
-    permutation, and the cleared denominator."""
+    permutation, and the product of the row scales."""
     rows, denom = _to_integer_matrix(matrix)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    sign = 1
-    r = 0
-    prev = 1
+    pivots, sign, r, prev = [], 1, 0, 1
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -110,12 +102,8 @@ def kernel_vector_for_column(ech: Echelon, free_col: int):
 def kernel_basis(matrix):
     """Exact kernel basis, one vector per free column."""
     ech = bareiss_echelon(matrix)
-    piv = set(ech.pivots)
-    return [
-        kernel_vector_for_column(ech, col)
-        for col in range(ech.ncols)
-        if col not in piv
-    ]
+    free = [col for col in range(ech.ncols) if col not in ech.pivots]
+    return [kernel_vector_for_column(ech, col) for col in free]
 
 
 def solve_exact(matrix, rhs):
@@ -137,4 +125,4 @@ def det_exact(matrix):
     if ech.rank < n:
         return Fraction(0)
     # the last Bareiss pivot is the determinant of the row-permuted matrix
-    return Fraction(sign * ech.rows[-1][-1], denom**n)
+    return Fraction(sign * ech.rows[-1][-1], denom)

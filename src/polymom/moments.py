@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from random import Random
 
 from .errors import (
@@ -58,6 +58,7 @@ from .numeric import (
     exact_div,
     extract_diff,
     falling,
+    index_from_json,
     jet_variables,
     mfactorial,
     scalar_from_json,
@@ -77,8 +78,6 @@ def _integerize(coords):
     evaluated at the integer vector q*z (keeping every intermediate rational
     small) and rescaled by q**-j afterwards. Float directions pass through.
     """
-    from math import lcm
-
     q = 1
     for x in coords:
         if isinstance(x, Fraction):
@@ -166,21 +165,25 @@ def _descale(moments, q):
 
 
 def axial_moments_brion(p: Polytope, z, count: int):
-    """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum."""
+    """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum,
+    on integers: with <v,z> = n_v / scale and D-tilde_v = f_v / den,
+    mu_j = (-1)^d sum_v n_v^(j+d) f_v / (falling(j+d, d) den scale^(j+d)).
+    Float inputs keep scale = den = 1."""
     d = p.dim
     coords, q = _integerize(_direction_coords(z))
     terms = vertex_weight_terms(p, coords)
+    projs, scale = _integerize([proj for proj, _ in terms])
+    weights, den = _integerize([w for _, w in terms])
     sign = (-1) ** d
-    powers = [proj**d * w for proj, w in terms]
-    projs = [proj for proj, _ in terms]
+    powers = [n**d * f for n, f in zip(projs, weights)]
     out = []
     for j in range(count):
         total = 0
         for t in powers:
             total = total + t
-        out.append(exact_div(sign * total, falling(j + d, d)))
+        out.append(exact_div(sign * total, falling(j + d, d) * den * scale ** (j + d)))
         if j + 1 < count:
-            powers = [t * proj for t, proj in zip(powers, projs)]
+            powers = [t * n for t, n in zip(powers, projs)]
     return _descale(out, q)
 
 
@@ -515,9 +518,9 @@ def moments_from_json(doc) -> MomentSequence:
     try:
         mode = doc.get("mode", EXACT)
         ms = MomentSequence(
-            dim=int(doc["dim"]),
+            dim=index_from_json(doc["dim"], "dim"),
             direction=tuple(scalar_from_json(x, mode) for x in doc["direction"]),
-            density_degree=int(doc.get("density_degree", 0)),
+            density_degree=index_from_json(doc.get("density_degree", 0), "density_degree"),
             mode=mode,
             moments=tuple(scalar_from_json(m, mode) for m in doc["moments"]),
         )

@@ -51,6 +51,13 @@ def scalar_from_json(value, mode=EXACT):
     raise InputError(f"bad scalar {value!r} for mode {mode}")
 
 
+def index_from_json(value, what):
+    """Decode a JSON integer field; int() alone would truncate 2.7 to 2."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def scalar_to_json(value):
     """Encode a scalar for JSON: Fractions as 'p/q' strings, floats as-is."""
     if isinstance(value, Fraction):

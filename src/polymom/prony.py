@@ -20,6 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -138,20 +139,29 @@ def _berlekamp_massey(s, m: int):
     len(s). The pass stops as soon as L reaches m: the length never
     decreases, so the profile L_1, L_2, ... contains m exactly when that
     first length is m (Massey 1969; Jonckheere & Ma 1989).
+
+    Fraction-free: s is multiplied by the lcm lam of its denominators; C and
+    B, integer multiples of the rational connection polynomials, are updated
+    by C <- d_B C - d x^shift B (d_B = lam for the initial B = 1) and divided
+    by their content. Each discrepancy is a nonzero multiple of the rational
+    one, so every decision is that of the pass over Q; C / C_0 is returned.
     """
-    conn, prev = [Fraction(1)], [Fraction(1)]
-    length, shift, prev_disc = 0, 1, Fraction(1)
+    lam = lcm(*(x.denominator for x in s))
+    s = [x.numerator * (lam // x.denominator) for x in s]
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, lam
     for n, sn in enumerate(s):
-        disc = sn
+        disc = sn * conn[0]
         for i in range(1, length + 1):
             disc += conn[i] * s[n - i]
         if disc == 0:
             shift += 1
             continue
-        coef = disc / prev_disc
-        update = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        update = [prev_disc * x for x in conn] + [0] * (len(prev) + shift - len(conn))
         for i, x in enumerate(prev):
-            update[i + shift] -= coef * x
+            update[i + shift] -= disc * x
+        content = gcd(*update)
+        update = [x // content for x in update]
         if 2 * length <= n:
             prev, prev_disc = conn, disc
             length, shift = n + 1 - length, 1
@@ -161,7 +171,7 @@ def _berlekamp_massey(s, m: int):
         else:
             conn = update
             shift += 1
-    return length, conn
+    return length, [Fraction(x, conn[0]) for x in conn]
 
 
 def _exact_kernel(c, m: int) -> tuple:
@@ -548,6 +558,16 @@ def _estimate_scale(c):
     return min(max(s, 1e-9), 1e9)
 
 
+def _rescale(c, scale):
+    """c_k <- c_k / scale^k in place: the moments of the nodes / scale."""
+    if scale == 1:
+        return
+    acc = 1.0
+    for k in range(1, len(c)):
+        acc *= scale
+        c[k] = c[k] / acc
+
+
 def hankel_size(nmax: int, density_degree: int, oversample: int = 0) -> int:
     return (density_degree + 1) * nmax + 1 + oversample
 
@@ -590,11 +610,7 @@ def prony_polynomial_from_sequence(
             )
         return PronyPolynomial(coeffs=coeffs, multiplicity=mult)
     scale = _estimate_scale(c)
-    if scale != 1:
-        acc = 1.0
-        for k in range(1, len(c)):
-            acc *= scale
-            c[k] = c[k] / acc
+    _rescale(c, scale)
     h = build_hankel(c, m)
     prev = h.leading(m - 1)
     rank_m, _ = _svd_rank(h.rows, rank_tol)
@@ -663,11 +679,7 @@ def projections_from_moments(
             m = hankel_size(nmax, 0, oversample)
             c = list(scaled_moment_vector(ms, 2 * m - 2).c)
             s = float(poly.scale)
-            if s != 1.0:
-                acc = 1.0
-                for kk in range(1, len(c)):
-                    acc *= s
-                    c[kk] = c[kk] / acc
+            _rescale(c, s)
             refined = _refine_nodes_float(c, [v / s for v in values])
             values = tuple(sorted(float(r * s) for r in refined))
         if len(values) >= 2:

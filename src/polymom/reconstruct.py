@@ -47,6 +47,10 @@ from .prony import (
     prony_polynomial_from_sequence,
 )
 
+# a direction whose Prony solve raises one of these is resampled (a cone pole
+# can leave irrational roots even for a rational polytope)
+_BAD_DIRECTION = (NonGenericDirection, DenominatorVanishes, IrrationalRoot)
+
 
 @dataclass
 class Provenance:
@@ -229,17 +233,13 @@ class _Pipeline:
         return pz
 
     def acquire_first(self):
-        # IrrationalRoot counts as a bad direction here: a cone pole can
-        # leave a confluent kernel polynomial with irrational roots even
-        # for a rational polytope
         last_error = None
         for _ in range(self.config.direction_retries):
             coords = self.sample_direction()
             try:
                 proj = self.projections_at(coords, self.nmax)
                 return coords, proj
-            except (NonGenericDirection, DenominatorVanishes,
-                    IrrationalRoot) as exc:
+            except _BAD_DIRECTION as exc:
                 last_error = exc
                 self.prov.retries += 1
         raise RankInstability(
@@ -270,14 +270,12 @@ class _Pipeline:
                 if n_expected < self.nmax:
                     try:
                         proj = self.projections_at(coords, self.nmax)
-                    except (NonGenericDirection, DenominatorVanishes,
-                            IrrationalRoot):
+                    except _BAD_DIRECTION:
                         continue
                     if proj.n > n_expected:
                         return coords, proj
                 continue
-            except (NonGenericDirection, DenominatorVanishes,
-                    IrrationalRoot) as exc:
+            except _BAD_DIRECTION as exc:
                 last_error = exc
                 self.prov.retries += 1
                 continue
@@ -348,7 +346,7 @@ def _projection_residual(pipeline: _Pipeline, vertices, coords):
     n = len(vertices)
     try:
         ps = pipeline.projections_at(coords, n)
-    except (NonGenericDirection, DenominatorVanishes, IrrationalRoot):
+    except _BAD_DIRECTION:
         return None
     if ps.n != n:
         # the held-out direction itself misbehaved; try another one

@@ -1,11 +1,12 @@
 """Univariate representations of the vertex set.
 
 Every coordinate of every vertex is expressed as a rational function of a
-single root theta of the base-direction polynomial p_a: interpolating
-f(s, t) = p_{a + s b}(t) in s and differentiating at s = 0 yields g_{a,b}
-with <w, b> = -g_{a,b}(theta) / p_a'(theta) at theta = <w, a>. The minus
-sign is forced by the product-rule expansion of f and is verified by the
-test suite.
+single root theta of the base-direction polynomial p_a: g_{a,b} = df/ds at
+s = 0 of f(s, t) = p_{a + s b}(t) gives <w, b> = -g_{a,b}(theta) / p_a'(theta)
+at theta = <w, a>. The minus sign is forced by the product-rule expansion
+of f and is verified by the test suite. f has degree <= n in s, so g is a
+linear functional of n+1 samples, sum_k L_k'(0) p_{a + s_k b}(t) over the
+Lagrange basis L_k of the nodes s_k; no interpolant is built.
 """
 
 from __future__ import annotations
@@ -19,21 +20,19 @@ from .errors import (
     NonGenericDirection,
     RankInstability,
 )
-from .numeric import EXACT, FLOAT
+from .numeric import EXACT
 from .prony import PronyPolynomial, poly_derivative, poly_eval, poly_nth_root
 from .reconstruct import VertexSet, _Pipeline
 
 
-def lagrange_coefficients(nodes, values):
-    """Coefficients (lowest-first) of the interpolating polynomial through
-    (nodes[i], values[i]); exact over rationals."""
-    n = len(nodes)
-    if len(values) != n:
-        raise InputError("node/value length mismatch")
-    is_float = any(isinstance(x, float) for x in list(nodes) + list(values))
-    zero = 0.0 if is_float else Fraction(0)
+def _interpolate(nodes, columns):
+    """Interpolant coefficients (lowest-first) through (nodes[i],
+    column[i]) for each column, all over one Lagrange basis."""
+    is_float = any(isinstance(x, float) for seq in (nodes, *columns) for x in seq)
     one = 1.0 if is_float else Fraction(1)
-    out = [zero] * n
+    zero = one - one
+    n = len(nodes)
+    outs = [[zero] * n for _ in columns]
     for i in range(n):
         # basis polynomial prod_{j != i} (s - s_j) / (s_i - s_j)
         basis = [one]
@@ -41,14 +40,23 @@ def lagrange_coefficients(nodes, values):
         for j in range(n):
             if j == i:
                 continue
-            basis = [zero] + basis[:]
+            basis = [zero] + basis
             for k in range(len(basis) - 1):
                 basis[k] = basis[k] - nodes[j] * basis[k + 1]
             denom = denom * (nodes[i] - nodes[j])
-        scale = values[i] / denom
-        for k in range(len(basis)):
-            out[k] = out[k] + scale * basis[k]
-    return out
+        for out, column in zip(outs, columns):
+            scale = column[i] / denom
+            for k in range(n):
+                out[k] = out[k] + scale * basis[k]
+    return outs
+
+
+def lagrange_coefficients(nodes, values):
+    """Coefficients (lowest-first) of the interpolating polynomial through
+    (nodes[i], values[i]); exact over rationals."""
+    if len(values) != len(nodes):
+        raise InputError("node/value length mismatch")
+    return _interpolate(nodes, [values])[0]
 
 
 def _squarefree_projection_poly(poly: PronyPolynomial, multiplicity: int):
@@ -84,6 +92,34 @@ def _node_pool(n, mode, limit=512):
         denom *= 2
 
 
+def _sample(pipe, a, b, n, known_pa):
+    """n+1 nodes s from ``_node_pool`` and the squarefree projection
+    polynomials p_{a+s b}, lowest-first. Non-generic samples, detected by
+    the Prony solve, are skipped; ``known_pa`` stands in for s = 0."""
+    mult = pipe.oracle.density_degree + 1
+    nodes, polys = [], []
+    failures = 0
+    for s in _node_pool(n, pipe.config.mode):
+        if s == 0 and known_pa is not None:
+            poly = known_pa
+        else:
+            try:
+                coords = tuple(x + s * y for x, y in zip(a, b))
+                poly = _squarefree_projection_poly(pipe.poly_at(coords, n), mult)
+            except (NonGenericDirection, DenominatorVanishes):
+                failures += 1
+                pipe.prov.retries += 1
+                if failures > n + 1:
+                    raise NonGenericDirection(f"persistent non-generic interpolation "
+                                              f"samples after {failures} retries")
+                continue
+        nodes.append(s)
+        polys.append(poly)
+        if len(nodes) > n:
+            return nodes, polys
+    raise NonGenericDirection("interpolation node pool exhausted")
+
+
 def interpolate_fab(oracle, a, b, n, pipeline=None, config=None, known_pa=None):
     """Coefficients of f_ab(s,t) = p_{a+s b}(t) as polynomials in s.
 
@@ -93,52 +129,28 @@ def interpolate_fab(oracle, a, b, n, pipeline=None, config=None, known_pa=None):
     replaced from a rational fallback pool.
     """
     pipe = pipeline if pipeline is not None else _Pipeline(oracle, n, config, None)
-    mult = oracle.density_degree + 1
-    nodes = []
-    polys = []
-    failures = 0
-    max_failures = n + 1
+    nodes, polys = _sample(pipe, a, b, n, known_pa)
+    return _interpolate(nodes, [[p[i] for p in polys] for i in range(n + 1)])
 
-    def try_node(s):
-        nonlocal failures
-        if s == 0 and known_pa is not None:
-            nodes.append(s)
-            polys.append(known_pa)
-            return
-        coords = tuple(x + s * y for x, y in zip(a, b))
-        try:
-            pz = pipe.poly_at(coords, n)
-            polys.append(_squarefree_projection_poly(pz, mult))
-            nodes.append(s)
-        except (NonGenericDirection, DenominatorVanishes):
-            failures += 1
-            pipe.prov.retries += 1
-            if failures > max_failures:
-                raise NonGenericDirection(
-                    f"persistent non-generic interpolation samples after "
-                    f"{failures} retries"
-                )
 
-    for s in _node_pool(n, pipe.config.mode):
-        if len(nodes) > n:
-            break
-        try_node(s)
-    if len(nodes) <= n:
-        raise NonGenericDirection("interpolation node pool exhausted")
-
-    # interpolate each t-coefficient across the s samples
-    fab = []
-    for i in range(n + 1):
-        column = [p[i] for p in polys]
-        fab.append(lagrange_coefficients(nodes, column))
-    return fab
+def _derivative_weights(nodes):
+    """w_k = L_k'(0) for nodes with nodes[0] = 0: the s-derivative at 0 of
+    the interpolant through (nodes[k], y_k) is sum_k w_k y_k. For k > 0 the
+    factor s - s_0 = s of L_k vanishes at 0, so w_k = (1/s_k) prod over
+    j not in {0, k} of s_j / (s_j - s_k); on the nodes 0..n, w_0 = -H_n and
+    w_k = (-1)^(k-1) C(n,k) / k."""
+    weights = [-sum(1 / s for s in nodes[1:])]
+    for k in range(1, len(nodes)):
+        w = 1 / nodes[k]
+        for s in nodes[1:k] + nodes[k + 1:]:
+            w = w * s / (s - nodes[k])
+        weights.append(w)
+    return weights
 
 
 def g_from_f(fab):
     """g(t) = d f(s,t)/ds at s = 0: the s-linear coefficient, per t-degree."""
-    out = []
-    for s_poly in fab:
-        out.append(s_poly[1] if len(s_poly) > 1 else 0)
+    out = [s_poly[1] if len(s_poly) > 1 else 0 for s_poly in fab]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -160,7 +172,6 @@ def vertices_univar(
     """
     pipe = _Pipeline(oracle, nmax, config, rng)
     d = oracle.dim
-    mode = pipe.config.mode
     mult = oracle.density_degree + 1
 
     if base_direction is not None:
@@ -172,13 +183,14 @@ def vertices_univar(
     pa = _squarefree_projection_poly(proj.poly, mult)
     pa_derivative = poly_derivative(pa)
 
-    one = 1.0 if mode == FLOAT else Fraction(1)
+    # g_{a,e_j}(t) = df/ds at s = 0 is one linear functional of the samples;
+    # p is monic, so only the t-coefficients below n are needed
     g = []
     for j in range(d):
-        e_j = tuple(one if t == j else (0.0 if mode == FLOAT else Fraction(0))
-                    for t in range(d))
-        fab = interpolate_fab(oracle, a, e_j, n, pipeline=pipe, known_pa=pa)
-        g.append(g_from_f(fab))
+        e_j = tuple(int(t == j) for t in range(d))
+        nodes, polys = _sample(pipe, a, e_j, n, pa)
+        weights = _derivative_weights(nodes)
+        g.append([sum(w * p[i] for w, p in zip(weights, polys)) for i in range(n)])
 
     vertices = []
     for theta in proj.values:

@@ -61,6 +61,35 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     assert err.startswith("polymom:") and "Traceback" not in err
 
 
+TRIANGLE_CONES = [{"vertex": 0, "edges": [[1, 0], [0, 1]]},
+                  {"vertex": 1, "edges": [[-1, 0], [-1, 1]]},
+                  {"vertex": 2, "edges": [[0, -1], [1, -1]]}]
+# the segment [0, 1]: mu_j = 1/(j+1)
+SEGMENT_MOMENT_DOC = {"dim": 1, "direction": ["1"], "mode": "exact",
+                      "moments": ["1", "1/2", "1/3", "1/4", "1/5"]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("moments", {**TRIANGLE_DOC, "dim": 2.7}),
+    ("moments", {**TRIANGLE_DOC, "simplices": [[0, 1, 2.9]]}),
+    ("moments", {**TRIANGLE_DOC, "cones": [{**TRIANGLE_CONES[0], "vertex": 0.5},
+                                           *TRIANGLE_CONES[1:]]}),
+    ("reconstruct", {**SEGMENT_MOMENT_DOC, "dim": 1.5}),
+    ("reconstruct", {**SEGMENT_MOMENT_DOC, "density_degree": 0.5}),
+], ids=["dim", "simplex-index", "cone-vertex", "moment-dim", "density-degree"])
+def test_non_integral_index_exit_2(tmp_path, capsys, command, doc):
+    # int() would truncate each of these to a valid document that succeeds
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "moments":
+        code = main(["moments", str(path), *MOMENTS_ARGS])
+    else:
+        code = main(["reconstruct", "--moments", str(path), "--nmax", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and "must be an integer" in err
+
+
 def test_negative_density_degree_exit_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**MOMENT_DOC, "density_degree": -1}))

@@ -128,3 +128,23 @@ def test_bareiss_pivot_order_deterministic():
     e1 = linalg.bareiss_echelon(m)
     e2 = linalg.bareiss_echelon(m)
     assert e1.rows == e2.rows and e1.pivots == e2.pivots
+
+
+def test_det_and_solve_with_unrelated_row_denominators(rng):
+    # each row is cleared by its own lcm; the first pivot column is zero in
+    # the leading rows, so the elimination swaps rows
+    dens = (1, 3, 2**61 - 1, 10007**3, 7**20, 999983)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        m = [[Fraction(rng.randint(-9, 9), dens[i % len(dens)] ** rng.randint(1, 2))
+              for _ in range(n)] for i in range(n)]
+        zeros = rng.randint(1, n - 1)
+        for i in range(zeros):
+            m[i][0] = Fraction(0)
+        det = linalg.det_exact(m)
+        assert det == cofactor_det(m)
+        if det == 0:
+            continue
+        x = [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(n)]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in m]
+        assert linalg.solve_exact(m, b) == x

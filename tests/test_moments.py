@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from random import Random
 
 import pytest
@@ -325,6 +325,54 @@ class TestClosedForms:
         for count in (0, 3):
             with pytest.raises(InputError, match="degenerate"):
                 axial_moments_direct(flat, (F(1), F(2)), count)
+
+
+def _uniform_brion_reference(p, z, count):
+    """The uniform vertex sum on Fraction (or float) powers, vertex by
+    vertex. Only a rational direction is cleared, to q z, and mu_j is
+    divided by q^j at the end."""
+    d = p.dim
+    q = 1
+    if all(isinstance(x, Fraction) for x in z):
+        q = lcm(*(x.denominator for x in z))
+    terms = vertex_weight_terms(p, tuple(x * q for x in z))
+    powers = [proj**d * w for proj, w in terms]
+    out = []
+    for j in range(count):
+        total = 0
+        for t in powers:
+            total = total + t
+        out.append(exact_div(exact_div((-1) ** d * total, falling(j + d, d)), q**j))
+        powers = [t * proj for t, (proj, _) in zip(powers, terms)]
+    return out
+
+
+class TestUniformBrionOnIntegers:
+    def test_exact_against_reference(self):
+        # simple cones (polygons, prisms, ...) and the triangulated
+        # non-simple pyramid, with and without a vertex at the origin
+        kinds = set()
+        for p, _, z, count in _closed_form_cases(10, 36):
+            got = axial_moments_brion(p, z, count)
+            assert got == _uniform_brion_reference(p, z, count)
+            assert all(isinstance(m, Fraction) for m in got)
+            kinds.add(p.cones is None)
+        assert kinds == {True, False}
+
+    def test_integer_direction_and_vertices(self):
+        for p in (unit_cube(), square_pyramid(), unit_square()):
+            z = tuple(F(k) for k in (3, 5, 11)[:p.dim])
+            got = axial_moments_brion(p, z, 9)
+            assert got == _uniform_brion_reference(p, z, 9)
+            assert got == axial_moments_direct(p, z, 9)
+            assert all(isinstance(m, Fraction) for m in got)
+
+    def test_float_is_the_old_float_path(self):
+        for p, _, z, count in _closed_form_cases(11, 24):
+            pf, zf = polytope_to_float(p), tuple(float(x) for x in z)
+            # float direction, and exact direction on a float polytope
+            for w in (zf, z):
+                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, w, count)
 
 
 class TestCompanionIdentities:

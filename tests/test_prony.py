@@ -268,6 +268,82 @@ class TestBerlekampMasseyMatchesBareiss:
         assert {0, 1, 2, 3} <= seen
 
 
+def _fraction_bm(s, m):
+    """The Berlekamp-Massey pass with one Fraction per operation, as the
+    reference of the fraction-free pass."""
+    conn, prev = [F(1)], [F(1)]
+    length, shift, prev_disc = 0, 1, F(1)
+    for n, sn in enumerate(s):
+        disc = sn
+        for i in range(1, length + 1):
+            disc += conn[i] * s[n - i]
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc / prev_disc
+        update = conn + [F(0)] * (len(prev) + shift - len(conn))
+        for i, x in enumerate(prev):
+            update[i + shift] -= coef * x
+        if 2 * length <= n:
+            prev, prev_disc = conn, disc
+            length, shift = n + 1 - length, 1
+            conn = update
+            if length >= m:
+                break
+        else:
+            conn = update
+            shift += 1
+    return length, conn
+
+
+def _mixed_denominator_sequence(rng, n):
+    """s_k = sum_i w_i x_i^k with nodes and weights over large, unrelated
+    denominators (primes near 10^6, powers of 7 and 2), some entries
+    perturbed."""
+    dens = (1, 7**9, 2**40, 1000003, 999983 * 7, 10007**2)
+    nodes = [F(rng.randint(-10**6, 10**6), rng.choice(dens))
+             for _ in range(rng.randint(1, 6))]
+    weights = [F(rng.randint(-10**4, 10**4) or 1, rng.choice(dens)) for _ in nodes]
+    seq = [sum(w * x**k for w, x in zip(weights, nodes)) for k in range(n)]
+    if rng.random() < 0.3:
+        seq[rng.randrange(n)] += F(1, rng.choice(dens))
+    return seq
+
+
+class TestFractionFreeBerlekampMassey:
+    """The integer pass returns the length and connection polynomial of the
+    Fraction pass exactly, trailing zeros included."""
+
+    def test_seeded_sequences(self, rng):
+        for _ in range(1500):
+            m, deg = rng.randint(1, 6), rng.randint(0, 2)
+            c = _random_sequence(rng, m, deg)
+            assert prony._berlekamp_massey(c, m) == _fraction_bm(c, m), (c, m)
+
+    def test_large_mixed_denominators(self):
+        rng = Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 15)
+            c = _mixed_denominator_sequence(rng, n)
+            m = rng.randint(1, (n + 1) // 2 + 1)
+            got = prony._berlekamp_massey(c, m)
+            assert got == _fraction_bm(c, m), (c, m)
+            assert all(type(x) is Fraction for x in got[1])
+
+    def test_integer_sequences(self):
+        rng = Random(6)
+        for _ in range(300):
+            n = rng.randint(1, 13)
+            c = [rng.randint(-10**12, 10**12) * rng.randint(0, 1) for _ in range(n)]
+            m = (n + 1) // 2
+            assert prony._berlekamp_massey(c, m) == _fraction_bm([F(x) for x in c], m)
+
+    def test_all_zero_sequences(self):
+        for n in range(0, 12):
+            c = [F(0)] * n
+            assert prony._berlekamp_massey(c, 6) == _fraction_bm(c, 6) == (0, [F(1)])
+
+
 class TestKernelShiftProperty:
     def test_shifts_lie_in_kernel(self, rng):
         # vectors a_l = shifted coefficients of p_z span the kernel

@@ -2,15 +2,19 @@
 vertex coordinates."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 from conftest import random_simple_polytope, unit_cube, unit_triangle
 from polymom.config import RunConfig
+from polymom.errors import DenominatorVanishes
 from polymom.geometry import dot
 from polymom.moments import PolytopeMomentOracle
 from polymom.prony import poly_derivative, poly_eval
-from polymom.reconstruct import reconstruct
+from polymom.reconstruct import _Pipeline, reconstruct
 from polymom.univar import (
+    _derivative_weights,
+    _sample,
     g_from_f,
     interpolate_fab,
     lagrange_coefficients,
@@ -165,3 +169,69 @@ class TestSignIdentity:
                     if w[j] != 0:
                         saw_nonzero = True
             assert saw_nonzero
+
+
+class _AvoidingOracle(PolytopeMomentOracle):
+    """Reports a vanishing denominator at the listed directions, so that
+    interpolation moves on to fallback (non-integer) nodes."""
+
+    def __init__(self, polytope, avoid):
+        super().__init__(polytope)
+        self.avoid = set(avoid)
+
+    def sequence(self, z, count):
+        if tuple(z) in self.avoid:
+            raise DenominatorVanishes(0, ())
+        return super().sequence(z, count)
+
+
+class TestDerivativeWeights:
+    """g = sum_k L_k'(0) p_{a + s_k b} replaces interpolation in
+    ``vertices_univar``."""
+
+    def test_closed_form_on_default_nodes(self):
+        # w_0 = -H_n, w_k = (-1)^(k-1) C(n,k) / k
+        for n in range(1, 13):
+            w = _derivative_weights([F(k) for k in range(n + 1)])
+            assert w[0] == -sum(F(1, k) for k in range(1, n + 1))
+            assert w[1:] == [F((-1) ** (k - 1) * comb(n, k), k) for k in range(1, n + 1)]
+
+    def test_slope_of_the_interpolant(self):
+        rng = Random(3)
+        pool = sorted({F(a, b) for a in range(-20, 21) for b in (1, 2, 4, 7) if a})
+        for _ in range(60):
+            nodes = [F(0)] + rng.sample(pool, rng.randint(1, 9))
+            values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in nodes]
+            slope = sum(w * y for w, y in zip(_derivative_weights(nodes), values))
+            assert slope == lagrange_coefficients(nodes, values)[1]
+
+    def test_matches_interpolation_on_fallback_nodes(self, rng):
+        for _ in range(3):
+            p = random_simple_polytope(rng)
+            n = p.n_vertices
+            a, proj = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire_first()
+            pa = list(proj.poly.coeffs) + [F(1)]
+            for j in range(p.dim):
+                b = tuple(F(int(t == j)) for t in range(p.dim))
+                avoid = {tuple(x + s * y for x, y in zip(a, b)) for s in (1, 2, n)}
+                oracle = _AvoidingOracle(p, avoid)
+                pipe = _Pipeline(oracle, n, _cfg(), rng)
+                nodes, polys = _sample(pipe, a, b, n, pa)
+                assert pipe.prov.retries == 3
+                assert nodes[0] == 0 and F(1, 2) in nodes
+                w = _derivative_weights(nodes)
+                g = [sum(wk * poly[i] for wk, poly in zip(w, polys)) for i in range(n + 1)]
+                while g and g[-1] == 0:
+                    g.pop()
+                fab = interpolate_fab(oracle, a, b, n, pipeline=pipe, known_pa=pa)
+                assert g == g_from_f(fab)
+
+    def test_univar_on_fallback_nodes(self, rng):
+        p = random_simple_polytope(rng)
+        n = p.n_vertices
+        a, _ = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire_first()
+        avoid = {tuple(x + F(s) * int(t == j) for t, x in enumerate(a))
+                 for j in range(p.dim) for s in (1, 3)}
+        vs = vertices_univar(_AvoidingOracle(p, avoid), n, _cfg(), rng, base_direction=a)
+        assert vs.vertices == tuple(sorted(p.vertices))
+        assert vs.provenance.retries == 2 * p.dim
