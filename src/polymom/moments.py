@@ -54,7 +54,6 @@ from .numeric import (
     FLOAT,
     Jet,
     MultiPoly,
-    derivative_jet,
     exact_div,
     extract_diff,
     falling,
@@ -192,33 +191,37 @@ def axial_moment_brion(p: Polytope, z, j: int):
     return axial_moments_brion(p, z, j + 1)[j]
 
 
-def _vertex_contractions(p: Polytope, coords, piece: MultiPoly, s: int):
-    """The per-vertex data of [piece(d/dz) sum_v <v,z>^k W_v(z)](z) for a
-    homogeneous piece of degree s >= 1, for every k at once.
+def _vertex_contractions(p: Polytope, coords, pieces, s: int):
+    """The per-vertex data of [piece(d/dz) sum_v <v,z>^k W_v(z)](z) for
+    homogeneous pieces of one degree s >= 1, for every k at once.
 
     The jet of <v, z+h> is <v,z> + L_v(h) with L_v linear in h, so its k-th
     power truncated at order s has s+1 binomial terms:
     [piece(d/dz) <v,z>^k W_v(z)](z) = sum_i C(k,i) <v,z>^(k-i) e_{v,i}
-    with e_{v,i} = [piece(d/dz) W_v L_v^i](z). Returns (den, scale, rows)
-    with one row (n_v, [f_{v,0} .. f_{v,s}]) per vertex, denominators
+    with e_{v,i} = [piece(d/dz) W_v L_v^i](z). The jets W_v L_v^i are built
+    once and contracted with every piece. Returns one (den, scale, rows) per
+    piece with one row (n_v, [f_{v,0} .. f_{v,s}]) per vertex, denominators
     cleared so that ``_contract`` runs over integers: <v,z> = n_v / scale
     and e_{v,i} = f_{v,i} / (den * scale^i).
     """
-    values, terms = [], []
+    values, jets = [], []
     for proj, weight in vertex_weight_terms(p, jet_variables(coords, s)):
         value = proj.value()
         lin = proj - value
-        row = [extract_diff(piece, weight)]
+        row = [weight]
         for _ in range(s):
-            weight = weight * lin
-            row.append(extract_diff(piece, weight))
+            row.append(row[-1] * lin)
         values.append(value)
-        terms.append(row)
+        jets.append(row)
     values, scale = _integerize(values)
-    flat, den = _integerize([e * scale**i for row in terms for i, e in enumerate(row)])
     width = s + 1
-    rows = [(n, flat[k * width:(k + 1) * width]) for k, n in enumerate(values)]
-    return den, scale, rows
+    out = []
+    for piece in pieces:
+        flat, den = _integerize([extract_diff(piece, w) * scale**i
+                                 for row in jets for i, w in enumerate(row)])
+        rows = [(n, flat[k * width:(k + 1) * width]) for k, n in enumerate(values)]
+        out.append((den, scale, rows))
+    return out
 
 
 def _contract(contractions, k: int):
@@ -260,7 +263,7 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
             for j, m in enumerate(axial_moments_brion(p, coords, count)):
                 out[j] = out[j] + c0 * m
             continue
-        contractions = _vertex_contractions(p, coords, piece, s)
+        contractions = _vertex_contractions(p, coords, [piece], s)[0]
         for j in range(count):
             val = _contract(contractions, j + d + s)
             out[j] = out[j] + exact_div(sign * val, falling(j + d + s, d + s))
@@ -398,7 +401,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
                 inner = inner + proj**e * w
             total = total + piece.constant_value() * fac * inner
         else:
-            total = total + fac * _contract(_vertex_contractions(p, coords, piece, s), e)
+            total = total + fac * _contract(_vertex_contractions(p, coords, [piece], s)[0], e)
     return total * unscale
 
 
@@ -553,50 +556,30 @@ def moments_to_csv(ms: MomentSequence, path):
             fh.write(f"{j},{scalar_to_json(m)}\n")
 
 
-def axial_moment_jet(p: Polytope, z, j: int, order: int, rho: MultiPoly | None = None) -> Jet:
-    """Jet (truncated Taylor expansion in z) of the map z -> mu_j(z)."""
-    coords, q = _integerize(_direction_coords(z))
-    jet = _axial_moment_jet_at(p, coords, j, order, rho)
-    if q == 1:
-        return jet
-    # mu_j is homogeneous of degree j: Taylor coefficients at z = k/q are
-    # those at k scaled by q^(|m| - j)
-    coeffs = {}
-    for exp, val in jet.coeffs.items():
-        hom = sum(exp) - j
-        factor = Fraction(q**hom) if hom >= 0 else Fraction(1, q ** (-hom))
-        coeffs[exp] = val * factor
-    return Jet(jet.dim, jet.order, coeffs)
+_MONOMIAL_SAMPLE_PRIME = 4999
 
 
-def _axial_moment_jet_at(p: Polytope, coords, j: int, order: int,
-                         rho: MultiPoly | None = None) -> Jet:
+def _monomial_moments_at(p: Polytope, coords, q: int, parts, exps):
+    """mu_m for every m in ``exps`` as the j = 0 moment of density Brion
+    with density x^m rho: each piece x^m rho_s, of degree q+s, adds
+    (-1)^d [x^m rho_s(d/dz) sum_v <v,z>^(q+s+d) D_v(z)](z) / (q+s+d)!."""
     d = p.dim
     sign = (-1) ** d
-    if rho is None or rho.is_constant():
-        scale = 1 if rho is None else rho.constant_value()
-        jets = jet_variables(coords, order)
-        total = None
-        for proj, w in vertex_weight_terms(p, jets):
-            t = proj ** (j + d) * w
-            total = t if total is None else total + t
-        jet = total * sign / falling(j + d, d)
-        return jet if scale == 1 else jet * scale
-    result = None
-    for s, piece in _density_parts(rho).items():
-        jets = jet_variables(coords, order + s)
-        total = None
-        for proj, w in vertex_weight_terms(p, jets):
-            t = proj ** (j + d + s) * w
-            total = t if total is None else total + t
-        contrib = derivative_jet(piece, total) * (
-            sign * Fraction(1, falling(j + d + s, d + s))
-        )
-        result = contrib if result is None else result + contrib
-    return result
-
-
-_MONOMIAL_SAMPLE_PRIME = 4999
+    out = dict.fromkeys(exps, Fraction(0))
+    for s, piece in parts.items():
+        if q + s == 0:
+            volume = axial_moments_brion(p, coords, 1)[0]
+            out[exps[0]] = out[exps[0]] + piece.constant_value() * volume
+            continue
+        shifted = [
+            MultiPoly(d, {tuple(a + b for a, b in zip(m, e)): c
+                          for e, c in piece.terms.items()})
+            for m in exps
+        ]
+        k = q + s + d
+        for m, c in zip(exps, _vertex_contractions(p, coords, shifted, q + s)):
+            out[m] = out[m] + exact_div(sign * _contract(c, k), factorial(k))
+    return out
 
 
 def monomial_moments_of_degree(
@@ -604,11 +587,15 @@ def monomial_moments_of_degree(
 ):
     """All monomial moments mu_m = integral of x^m rho dx with |m| = q.
 
-    Uses |m|! mu_m = d^m/dz^m mu_{|m|}(z): one order-q jet of mu_q at an
-    internally sampled generic z serves every m of that total degree.
+    The relation |m|! mu_m = d^m/dz^m mu_{|m|}(z) is the density operator
+    of the vertex sum: mu_m is the j = 0 moment for the density x^m rho,
+    summed piece by piece of rho at an internally sampled generic z. The
+    jets of one piece degree are shared by every m of total degree q.
     """
     if rng is None:
         rng = Random(20240615 + q)
+    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else _density_parts(rho)
+    exps = list(_exponents_of_degree(p.dim, q))
     attempts = 0
     while True:
         if z is not None:
@@ -618,19 +605,14 @@ def monomial_moments_of_degree(
                 p.dim, r=_MONOMIAL_SAMPLE_PRIME, rng=rng
             ).coords
         try:
-            jet = axial_moment_jet(p, coords, q, q, rho)
-            break
+            # mu_m does not depend on z, so z may be scaled to integers
+            return _monomial_moments_at(p, _integerize(coords)[0], q, parts, exps)
         except DenominatorVanishes:
             if z is not None:
                 raise
             attempts += 1
             if attempts > 32:
                 raise
-    fq = factorial(q)
-    out = {}
-    for exp in _exponents_of_degree(p.dim, q):
-        out[exp] = jet.coefficient(exp) * Fraction(mfactorial(exp), fq)
-    return out
 
 
 def _exponents_of_degree(dim, q):
@@ -739,8 +721,19 @@ class SequenceMomentOracle:
     def __init__(self, sequences):
         if not sequences:
             raise InputError("no moment sequences supplied")
-        self.sequences = {tuple(ms.direction): ms for ms in sequences}
         first = sequences[0]
+        for ms in sequences:
+            for name in ("dim", "mode", "density_degree"):
+                if getattr(ms, name) != getattr(first, name):
+                    raise InputError(
+                        f"moment sequences disagree on {name}: "
+                        f"{getattr(first, name)!r} and {getattr(ms, name)!r}"
+                    )
+            if len(ms.direction) != first.dim:
+                raise InputError(
+                    f"a direction has {len(ms.direction)} coordinates in dimension {first.dim}"
+                )
+        self.sequences = {tuple(ms.direction): ms for ms in sequences}
         self.dim = first.dim
         self.density_degree = first.density_degree
         self.mode = first.mode

@@ -483,29 +483,6 @@ def extract_diff(rho: MultiPoly, jet: Jet):
     return total
 
 
-def derivative_jet(rho: MultiPoly, jet: Jet) -> Jet:
-    """Jet of rho(d/dz) f, one per-coefficient contraction lower in order.
-
-    Input jet of order q + deg(rho) yields output of order q: the Taylor
-    coefficient of the derivative at exponent m is
-    sum_e rho_e * f_{m+e} * prod_t (m_t+e_t)!/m_t!.
-    """
-    out_order = jet.order - rho.degree
-    if out_order < 0:
-        raise InputError("jet order too small for the differential operator")
-    coeffs = {}
-    for e, rc in rho.terms.items():
-        for fm, fc in jet.coeffs.items():
-            m = tuple(a - b for a, b in zip(fm, e))
-            if any(x < 0 for x in m) or sum(m) > out_order:
-                continue
-            scale = 1
-            for mt, et in zip(m, e):
-                scale *= falling(mt + et, et)
-            coeffs[m] = coeffs.get(m, 0) + rc * scale * fc
-    return Jet(jet.dim, out_order, coeffs)
-
-
 def apply_diff_operator(rho: MultiPoly, func, point):
     """Evaluate [rho(d/dz_1, ..., d/dz_d) func](point).
 

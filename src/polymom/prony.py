@@ -9,8 +9,11 @@ of multiplicity D+1 and the rank is (D+1) N.
 Exact mode reads the rank and the kernel polynomial off one
 Berlekamp-Massey pass over the scaled moments (no elimination). Its
 rational roots r = u/s are the integer roots u of the monic integer
-polynomial s^n p(u/s) (Gauss's lemma): integer Newton lifts float seeds to
-them and an exact evaluation certifies each one. Float mode uses SVD rank
+polynomial s^n p(u/s) (Gauss's lemma): integer Newton on g/g' (Schroeder's
+iteration), else on g, lifts float seeds to them and an exact evaluation
+certifies each one. Each root is divided out as often as it divides; a
+repeated root left behind is a simple root of a derivative, so the search
+walks the derivative chain of the remainder. Float mode uses SVD rank
 detection with a relative threshold and companion-matrix eigenvalues with
 root clustering.
 """
@@ -116,20 +119,14 @@ class PronyPolynomial:
 
     def full_coeffs(self):
         """Lowest-first coefficient list including the leading 1."""
-        return list(self.coeffs) + [_one_like(self.coeffs)]
+        return list(self.coeffs) + [1]
 
     def eval(self, t):
         x = t / self.scale if self.scale != 1 else t
-        total = _one_like(self.coeffs)
+        total = 1
         for a in reversed(self.coeffs):
             total = total * x + a
         return total
-
-
-def _one_like(coeffs):
-    if any(isinstance(a, float) for a in coeffs):
-        return 1.0
-    return Fraction(1)
 
 
 def _berlekamp_massey(s, m: int):
@@ -266,39 +263,6 @@ def _poly_trim(coeffs):
     return c
 
 
-def poly_divmod(num, den):
-    """Exact polynomial division over the rationals."""
-    num = [Fraction(x) for x in num]
-    den = _poly_trim([Fraction(x) for x in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    for k in range(len(r) - 1 - dn, -1, -1):
-        coef = r[k + dn] / lead
-        if coef == 0:
-            continue
-        q[k] = coef
-        for i, dcoef in enumerate(den):
-            r[k + i] -= coef * dcoef
-    return q, _poly_trim(r)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the rationals (Euclid with monic normalization)."""
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, _poly_trim(r)
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
 def poly_nth_root(coeffs, n: int):
     """Exact n-th root of a monic rational polynomial, or None.
 
@@ -353,43 +317,59 @@ def _integer_seeds(g, s):
             if abs(r.imag) <= 0.5 * (1 + abs(r.real))}
 
 
-def _lift(g, dg, u):
-    """Integer Newton u <- u - round(g(u)/g'(u)) from a seed, for at most
-    64 steps: the root reached, certified by g(u) = 0, or None."""
+def _newton(g, dg, ddg, u):
+    """Integer Newton from the seed u for at most 64 steps: on g/g' when
+    ddg is given (Schroeder's iteration, quadratic at a multiple root as
+    well), else on g. A rounded step of 0 ends it after u - 1 and u + 1
+    are tried. The root reached, certified by g(u) = 0, or None."""
     for _ in range(64):
         gu = poly_eval(g, u)
         if gu == 0:
             return u
         du = poly_eval(dg, u)
-        if du == 0:  # a close pair's seed can land on the integer midpoint
+        num, den = (gu * du, du * du - gu * poly_eval(ddg, u)) if ddg else (gu, du)
+        if du == 0 or den == 0:  # a close pair's seed can land on the midpoint
             u += 1
             continue
-        step = (2 * gu + du) // (2 * du)
+        step = (2 * num + den) // (2 * den)
         if step == 0:
-            return None
+            return next((v for v in (u - 1, u + 1) if poly_eval(g, v) == 0), None)
         u -= step
     return None
 
 
+def _lift(g, dg, ddg, u):
+    """The integer root Newton reaches from u on g/g', else on g, or None."""
+    root = _newton(g, dg, ddg, u)
+    return _newton(g, dg, None, u) if root is None else root
+
+
+def _divide_root(g, u):
+    """Quotient and remainder of g by (x - u), by synthetic division."""
+    acc, quotient = 0, []
+    for c in reversed(g):
+        acc = acc * u + c
+        quotient.append(acc)
+    remainder = quotient.pop()
+    return quotient[::-1], remainder
+
+
 def _integer_roots(g, s):
-    """Distinct integer roots of the monic integer polynomial g, and the
-    quotient of g by (u - u_i) over them. Each pass divides g by every new
-    root, so roots that shared a seed get seeds of their own in the next
-    pass; a pass that finds nothing new ends the search."""
+    """Distinct integer roots of the integer polynomial g. Each pass
+    divides g by every new root, so roots that shared a seed get seeds of
+    their own in the next pass; a pass that finds nothing new ends the
+    search."""
     found = set()
     while len(g) > 1:
         dg = poly_derivative(g)
-        new = {_lift(g, dg, u) for u in _integer_seeds(g, s)} - found - {None}
+        ddg = poly_derivative(dg)
+        new = {_lift(g, dg, ddg, u) for u in _integer_seeds(g, s)} - found - {None}
         if not new:
             break
         found |= new
         for u in new:
-            quotient, acc = [0] * (len(g) - 1), 0
-            for i in range(len(g) - 1, 0, -1):
-                acc = acc * u + g[i]
-                quotient[i - 1] = acc
-            g = quotient
-    return found, g
+            g = _divide_root(g, u)[0]
+    return found
 
 
 def roots_exact(p: PronyPolynomial) -> dict:
@@ -397,10 +377,11 @@ def roots_exact(p: PronyPolynomial) -> dict:
     multiplicities sum to the degree.
 
     The roots are searched on the multiplicity hint's n-th root of the
-    polynomial when it exists, else on the polynomial itself, and then on
-    the squarefree part (Euclid over Q) of any remainder that search
-    leaves. A root's multiplicity is the number of derivatives of the
-    searched polynomial that vanish at it, times the hint's power.
+    polynomial when it exists, else on the polynomial itself. Each root
+    found is divided out as often as it divides, which is its multiplicity
+    (times the hint's power), and the search repeats on the remainder.
+    While a search finds nothing it walks down the remainder's derivative
+    chain: a root of multiplicity k is simple in the (k-1)-th derivative.
 
     A float-scaled polynomial (``scale != 1``) is float-mode output and is
     rejected with InputError.
@@ -419,18 +400,25 @@ def roots_exact(p: PronyPolynomial) -> dict:
         for j in range(1, n + 1):
             s *= (base[n - j] * s**j).denominator
         g = [c.numerator * s ** (n - i) // c.denominator for i, c in enumerate(base)]
-        found, rest = _integer_roots(g, s)
-        if len(rest) > 1:
-            # irrational roots are left, or repeated ones at which integer
-            # Newton can stall; the squarefree part has only simple roots
-            sf, _ = poly_divmod(rest, poly_gcd(rest, poly_derivative(rest)))
-            found |= _integer_roots([int(c) for c in sf], s)[0]
         power = degree // n
-        for u in found:
-            mult, dg = 0, g
-            while poly_eval(dg, u) == 0:
-                mult, dg = mult + 1, poly_derivative(dg)
-            result[Fraction(u, s)] = power * mult
+        rest = chain = g
+        while len(rest) > 1:
+            grown = False
+            for u in _integer_roots(chain, s):
+                mult = 0
+                quotient, remainder = _divide_root(rest, u)
+                while remainder == 0:
+                    rest, mult = quotient, mult + 1
+                    quotient, remainder = _divide_root(rest, u)
+                if mult:
+                    result[Fraction(u, s)] = power * mult
+                    grown = True
+            if grown:
+                chain = rest
+            elif len(chain) > 2:
+                chain = poly_derivative(chain)
+            else:
+                break
     total = sum(result.values())
     if total != degree:
         raise IrrationalRoot(

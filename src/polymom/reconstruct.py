@@ -81,16 +81,7 @@ def sequence_from_oracle(oracle, coords, n_for_hankel: int,
     need = moments_needed(
         oracle.dim, n_for_hankel, oracle.density_degree, oversample
     )
-    if hasattr(oracle, "sequence"):
-        return oracle.sequence(coords, need)
-    moments = tuple(oracle.moment(coords, j) for j in range(need))
-    return MomentSequence(
-        dim=oracle.dim,
-        direction=tuple(coords),
-        density_degree=oracle.density_degree,
-        mode=oracle.mode,
-        moments=moments,
-    )
+    return oracle.sequence(coords, need)
 
 
 def match_projections(x1, xi, beta, pz: PronyPolynomial, mode=EXACT,

@@ -90,6 +90,33 @@ def test_non_integral_index_exit_2(tmp_path, capsys, command, doc):
     assert err.startswith("polymom:") and "must be an integer" in err
 
 
+# the unit 3-simplex along (1, 2, 3)
+SIMPLEX_3D_DOC = {"dim": 3, "direction": ["1", "2", "3"], "mode": "exact",
+                  "moments": ["1/6", "1/4", "5/12", "3/4", "43/30", "23/8"]}
+
+
+@pytest.mark.parametrize("docs, needle", [
+    ([MOMENT_DOC, {**MOMENT_DOC, "direction": ["2", "1"], "mode": "float"}],
+     "disagree on mode"),
+    ([SIMPLEX_3D_DOC, MOMENT_DOC], "disagree on dim"),
+    ([MOMENT_DOC, SIMPLEX_3D_DOC], "disagree on dim"),
+    ([MOMENT_DOC, {**MOMENT_DOC, "direction": ["2", "1"], "density_degree": 1}],
+     "disagree on density_degree"),
+    ([MOMENT_DOC, {**MOMENT_DOC, "direction": ["2", "1", "3"]}], "3 coordinates"),
+], ids=["exact-then-float", "3d-then-2d", "2d-then-3d", "density-degree",
+        "direction-length"])
+def test_mismatched_moment_files_exit_2(tmp_path, capsys, docs, needle):
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code = main(["reconstruct", "--moments", *paths, "--nmax", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and needle in err
+
+
 def test_negative_density_degree_exit_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**MOMENT_DOC, "density_degree": -1}))

@@ -460,16 +460,20 @@ class TestMonomialMoments:
 
     def test_against_direct_integration(self, rng):
         # fold the monomial into the density and integrate directly
-        for _ in range(4):
-            p = random_polygon(rng, max_vertices=5)
-            for q in range(4):
-                got = monomial_moments_of_degree(p, q)
+        cases = [(random_polygon(rng, max_vertices=5), None) for _ in range(4)]
+        cases += [(random_tetrahedron(rng), None), (square_pyramid(), None)]
+        # densities with pieces of degrees 0 and 2 (and 1 at random)
+        for p in (random_polygon(rng, max_vertices=5), random_parallelepiped(rng),
+                  random_prism(rng)):
+            cases.append((p, random_density(rng, p.dim, 2, p)))
+        for p, rho in cases:
+            e1 = (F(1),) + (F(0),) * (p.dim - 1)
+            for q in range(4 if p.dim == 2 else 3):
+                got = monomial_moments_of_degree(p, q, rho)
                 for m, val in got.items():
-                    mono = poly_parse(
-                        " ".join(f"x{i+1}^{e}" for i, e in enumerate(m) if e) or "1",
-                        p.dim,
-                    )
-                    assert val == axial_moment_direct(p, (F(1), F(0)), 0, mono), m
+                    mono = MultiPoly(p.dim, {m: F(1)})
+                    density = mono if rho is None else mono * rho
+                    assert val == axial_moment_direct(p, e1, 0, density), m
 
     def test_density_folding(self):
         rho = poly_parse("1 + x2", 2)

@@ -13,7 +13,6 @@ from polymom.numeric import (
     Jet,
     MultiPoly,
     apply_diff_operator,
-    derivative_jet,
     exact_div,
     jet_variables,
     parse_rational,
@@ -224,19 +223,6 @@ class TestApplyDiffOperator:
             assert Fraction(got) == Fraction(
                 expected_val.p, expected_val.q
             ), (f, rho, point)
-
-    def test_derivative_jet_consistency(self):
-        # the jet of rho(d/dz) f evaluated at zero offset equals
-        # apply_diff_operator
-        rho = poly_parse("x1 x2", 2)
-        jets = jet_variables((Fraction(1), Fraction(1)), 4)
-        f_jet = (jets[0] + 2 * jets[1]) ** 3
-        reduced = derivative_jet(rho, f_jet)
-        assert reduced.order == 2
-        direct = apply_diff_operator(
-            rho, lambda js: (js[0] + 2 * js[1]) ** 3, (Fraction(1), Fraction(1))
-        )
-        assert reduced.value() == direct
 
 
 class TestFloatExactAgreement:

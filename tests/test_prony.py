@@ -501,6 +501,19 @@ class TestRootSearch:
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == dict.fromkeys(roots, 1)
 
+    def test_clusters_of_repeated_roots_without_the_hint(self):
+        # a double and a 4-fold root 2 apart on the integer lattice of
+        # g(u) = s^n p(u/s), where integer Newton stops between them and
+        # u - 1 and u + 1 are tried; two 4-fold roots 1e-10 apart, where
+        # Newton on g crawls and Newton on g/g' does not; two simple roots
+        # 1e-8 apart, where Newton on g/g' stalls and Newton on g does not
+        for roots, mults in (((F(1), F(4500001, 4500000)), (2, 4)),
+                             ((F(-5, 7), F(-12499999997, 17500000000)), (4, 4)),
+                             ((F(2, 3), F(400000007, 600000000)), (1, 1))):
+            coeffs = _from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+            got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+            assert got == dict(zip(roots, mults))
+
     def test_many_roots_over_one_denominator(self):
         rng = Random(32)
         q = 7 * 1000003
@@ -511,37 +524,65 @@ class TestRootSearch:
 
 
 class TestSquarefreeCertificate:
-    """How roots_exact certifies: an exact evaluation per root, and Euclid
-    over Q only for what the integer search leaves."""
+    """How roots_exact certifies: an exact evaluation per root, and a
+    search on the derivative chain only for what the integer search
+    leaves."""
 
-    def test_euclid_only_without_certificate(self, monkeypatch):
+    @staticmethod
+    def _count_searches(monkeypatch):
         calls = []
-        euclid = prony.poly_gcd
-        monkeypatch.setattr(prony, "poly_gcd",
-                            lambda *a: calls.append(a) or euclid(*a))
+        search = prony._integer_roots
+        monkeypatch.setattr(prony, "_integer_roots",
+                            lambda g, s: calls.append(len(g) - 1) or search(g, s))
+        return calls
+
+    def test_derivative_chain_only_on_a_remainder(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
         coeffs = _from_roots([F(1, 3), F(-5, 7), F(2)])
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == {F(1, 3): 1, F(-5, 7): 1, F(2): 1}
-        assert not calls
-        # (t-1)^2 (t-2) with multiplicity hint 1 falls back to Euclid
+        assert calls == [3]
+        # (t-1)^2 (t-2) without the multiplicity hint: 1 divides twice
+        calls.clear()
         coeffs = _from_roots([F(1), F(1), F(2)])
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == {F(1): 2, F(2): 1}
-        assert len(calls) == 1
+        assert calls == [3]
+        # a triple root without the hint
+        coeffs = _from_roots([F(1, 3)] * 3 + [F(-2)])
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == {F(1, 3): 3, F(-2): 1}
+        # (t-1)^2 (t^2-2): the search on the remainder t^2 - 2 and on its
+        # derivative finds nothing more
+        calls.clear()
+        coeffs = _times(_from_roots([F(1), F(1)]), [F(-2), F(0), F(1)])
+        with pytest.raises(IrrationalRoot):
+            roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert calls == [4, 2, 1]
+
+    def test_repeated_root_missed_by_the_search_is_found_on_a_derivative(
+            self, monkeypatch):
+        # (u-5)^3 (u+1) with the seed 5 withheld on the monic polynomials:
+        # the search finds -1 only, and 5 is a root of the remainder's
+        # first derivative 3 (u-5)^2
+        seeds = prony._integer_seeds
+        monkeypatch.setattr(prony, "_integer_seeds",
+                            lambda g, s: seeds(g, s) - ({5} if g[-1] == 1 else set()))
+        calls = self._count_searches(monkeypatch)
+        coeffs = _from_roots([F(5)] * 3 + [F(-1)])
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == {F(5): 3, F(-1): 1}
+        assert calls == [4, 3, 2]
 
     def test_certified_roots_are_not_deflated_again(self, monkeypatch):
-        # integer lifting certifies each root by exact evaluation: neither
-        # Euclid nor a rational division runs on a squarefree polynomial
-        calls = []
-        for name in ("poly_divmod", "poly_gcd"):
-            fn = getattr(prony, name)
-            monkeypatch.setattr(prony, name,
-                                lambda *a, _fn=fn: calls.append(a) or _fn(*a))
+        # integer lifting certifies each root by exact evaluation: a
+        # squarefree polynomial takes one search and no derivative
+        calls = self._count_searches(monkeypatch)
         roots = [F(1, 3), F(-5, 7), F(2), F(9, 4)]
         coeffs = _from_roots(roots + [F(0)])
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == {F(0): 1, **{r: 1 for r in roots}}
-        assert not calls
+        assert calls == [5]
 
     def test_float_scaled_polynomial_is_bad_input(self):
         # float-mode output, not an irrational root: exit 2, not 5
