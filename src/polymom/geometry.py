@@ -13,10 +13,11 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .errors import InputError
-from .numeric import EXACT, FLOAT, index_from_json, scalar_from_json, scalar_to_json
+from .numeric import EXACT, FLOAT, index_from_json, integerize, scalar_from_json, scalar_to_json
 
 # Smallest prime >= 10^6; default denominator for rational direction sampling.
 DEFAULT_DENOMINATOR = 1000003
@@ -44,6 +45,30 @@ class Polytope:
     @property
     def n_vertices(self):
         return len(self.vertices)
+
+    @functools.cached_property
+    def cone_table(self):
+        """(V, vertices, cones), the part of the vertex sum that does not
+        depend on z, built once: exact vertices times their common
+        denominator V, and per cone (given, or the triangulation's simplex
+        cones) (cone, edges, det), each edge scaled to integers and |det| by
+        the same factors, so that det / prod <edge, z> = D_v(z). Float data
+        stays as given, with V = None."""
+        cones = self.cones
+        if cones is None:
+            cones = [c for s in triangulation_of(self) for c in simplex_cones(self.vertices, s)]
+        flat = [x for v in self.vertices for x in v]
+        data = flat + [c.det for c in cones] + [x for c in cones for w in c.edges for x in w]
+        if any(isinstance(x, float) for x in data):
+            return None, self.vertices, tuple((c, c.edges, c.det) for c in cones)
+        flat, scale = integerize(flat)
+        table = []
+        for c in cones:
+            edges, factors = zip(*(integerize(w) for w in c.edges))
+            table.append((c, edges, Fraction(c.det) * prod(factors)))
+        d = self.dim
+        vertices = tuple(flat[i:i + d] for i in range(0, len(flat), d))
+        return scale, vertices, tuple(table)
 
 
 @dataclass(frozen=True)
@@ -141,6 +166,24 @@ def fan_triangulate_2d(p: Polytope):
     start = order.index(0)
     cyc = order[start:] + order[:start]
     return tuple((0, cyc[k], cyc[k + 1]) for k in range(1, n - 1))
+
+
+def triangulation_of(p: Polytope):
+    """The simplex list used for triangulated evaluation.
+
+    Explicit simplices win; otherwise d=2 polygons are fan-triangulated and
+    a (d+1)-vertex polytope is its own simplex.
+    """
+    if p.simplices is not None:
+        return p.simplices
+    if p.dim == 2:
+        return fan_triangulate_2d(p)
+    if p.n_vertices == p.dim + 1:
+        return (tuple(range(p.dim + 1)),)
+    raise InputError(
+        "polytope needs cones or an explicit triangulation in dimension "
+        f"{p.dim} with {p.n_vertices} vertices"
+    )
 
 
 def polygon_cones(p: Polytope):

@@ -44,10 +44,9 @@ from .geometry import (
     Direction,
     Polytope,
     dot,
-    fan_triangulate_2d,
     polytope_to_float,
     sample_generic_direction,
-    simplex_cones,
+    triangulation_of,
 )
 from .numeric import (
     EXACT,
@@ -58,6 +57,7 @@ from .numeric import (
     extract_diff,
     falling,
     index_from_json,
+    integerize,
     jet_variables,
     mfactorial,
     scalar_from_json,
@@ -70,89 +70,41 @@ def _direction_coords(z):
     return z.coords if isinstance(z, Direction) else tuple(z)
 
 
-def _integerize(coords):
-    """Clear the common denominator of a rational direction.
-
-    The axial moment mu_j is homogeneous of degree j in z, so it can be
-    evaluated at the integer vector q*z (keeping every intermediate rational
-    small) and rescaled by q**-j afterwards. Float directions pass through.
-    """
-    q = 1
-    for x in coords:
-        if isinstance(x, Fraction):
-            q = lcm(q, x.denominator)
-        elif not isinstance(x, int):
-            return coords, 1
-    if q == 1:
-        return coords, 1
-    return tuple(int(x * q) for x in coords), q
-
-
-def triangulation_of(p: Polytope):
-    """The simplex list used for triangulated evaluation.
-
-    Explicit simplices win; otherwise d=2 polygons are fan-triangulated and
-    a (d+1)-vertex polytope is its own simplex.
-    """
-    if p.simplices is not None:
-        return p.simplices
-    if p.dim == 2:
-        return fan_triangulate_2d(p)
-    if p.n_vertices == p.dim + 1:
-        return (tuple(range(p.dim + 1)),)
-    raise InputError(
-        "polytope needs cones or an explicit triangulation in dimension "
-        f"{p.dim} with {p.n_vertices} vertices"
-    )
-
-
-def _is_zero(value):
-    if isinstance(value, Jet):
-        return value.value() == 0
-    return value == 0
-
-
-def _cone_weight(cone, z):
-    """D_v(z) for one simple cone; raises when a denominator vanishes."""
+def _edge_product(cone, edges, z):
+    """prod_k <edges_k, z> for one cone of the table; raises, naming the
+    cone's own edge, when a factor vanishes."""
     denom = None
-    for w in cone.edges:
-        s = dot(w, z)
-        if _is_zero(s):
-            edge = tuple(w)
-            raise DenominatorVanishes(cone.vertex, edge)
+    for w, e in zip(cone.edges, edges):
+        s = dot(e, z)
+        if (s.value() if isinstance(s, Jet) else s) == 0:
+            raise DenominatorVanishes(cone.vertex, tuple(w))
         denom = s if denom is None else denom * s
-    return cone.det / denom
+    return denom
 
 
 def vertex_weight_terms(p: Polytope, z):
-    """Pairs (<v,z>, D-tilde_v(z)) per vertex of P.
+    """Pairs (<v,z>, D-tilde_v(z)) per vertex of P, from ``p.cone_table``.
 
     ``z`` may hold scalars or jets. Simple-cone data is preferred; without
     it the weights are accumulated over a triangulation (the D-tilde of the
     non-simple case).
     """
     coords = _direction_coords(z)
-    if p.cones is not None:
-        out = []
-        for cone in p.cones:
-            proj = dot(p.vertices[cone.vertex], coords)
-            out.append((proj, _cone_weight(cone, coords)))
-        return out
-    weights = {}
-    for simplex in triangulation_of(p):
-        for cone in simplex_cones(p.vertices, simplex):
-            w = _cone_weight(cone, coords)
-            if cone.vertex in weights:
-                weights[cone.vertex] = weights[cone.vertex] + w
-            else:
-                weights[cone.vertex] = w
-    return [
-        (dot(p.vertices[i], coords), weights[i]) for i in sorted(weights)
-    ]
+    scale, vertices, cones = p.cone_table
+    terms = [(c.vertex, det / _edge_product(c, edges, coords)) for c, edges, det in cones]
+    if p.cones is None:
+        weights = {}
+        for v, w in terms:
+            weights[v] = weights[v] + w if v in weights else w
+        terms = sorted(weights.items())
+    if scale not in (None, 1):  # <v, z> = <V v, z / V>, scaled once, not per vertex
+        coords = [exact_div(x, scale) for x in coords]
+    return [(dot(vertices[v], coords), w) for v, w in terms]
 
 
 def _descale(moments, q):
-    """Undo the degree-j homogeneity scaling of a moment batch."""
+    """Undo the clearing of a rational direction z to the integer q z:
+    mu_j is homogeneous of degree j in z, so mu_j(z) = mu_j(q z) / q^j."""
     if q == 1:
         return moments
     acc = 1
@@ -165,14 +117,25 @@ def _descale(moments, q):
 
 def axial_moments_brion(p: Polytope, z, count: int):
     """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum,
-    on integers: with <v,z> = n_v / scale and D-tilde_v = f_v / den,
+    on the integers of ``p.cone_table``: with <v,z> = n_v / scale and
+    D-tilde_v = f_v / den over one den,
     mu_j = (-1)^d sum_v n_v^(j+d) f_v / (falling(j+d, d) den scale^(j+d)).
     Float inputs keep scale = den = 1."""
     d = p.dim
-    coords, q = _integerize(_direction_coords(z))
-    terms = vertex_weight_terms(p, coords)
-    projs, scale = _integerize([proj for proj, _ in terms])
-    weights, den = _integerize([w for _, w in terms])
+    coords, q = integerize(_direction_coords(z))
+    scale, vertices, cones = p.cone_table
+    if scale is not None and all(isinstance(x, int) for x in coords):
+        parts = [(c.vertex, det.numerator, det.denominator * _edge_product(c, edges, coords))
+                 for c, edges, det in cones]
+        den = lcm(*(b for _, _, b in parts))
+        weights = {}
+        for v, a, b in parts:
+            weights[v] = weights.get(v, 0) + a * (den // b)
+        projs = [dot(vertices[v], coords) for v in weights]
+        weights = list(weights.values())
+    else:  # float data
+        terms = vertex_weight_terms(p, coords)
+        projs, weights, scale, den = [t for t, _ in terms], [w for _, w in terms], 1, 1
     sign = (-1) ** d
     powers = [n**d * f for n, f in zip(projs, weights)]
     out = []
@@ -213,12 +176,12 @@ def _vertex_contractions(p: Polytope, coords, pieces, s: int):
             row.append(row[-1] * lin)
         values.append(value)
         jets.append(row)
-    values, scale = _integerize(values)
+    values, scale = integerize(values)
     width = s + 1
     out = []
     for piece in pieces:
-        flat, den = _integerize([extract_diff(piece, w) * scale**i
-                                 for row in jets for i, w in enumerate(row)])
+        flat, den = integerize([extract_diff(piece, w) * scale**i
+                                for row in jets for i, w in enumerate(row)])
         rows = [(n, flat[k * width:(k + 1) * width]) for k, n in enumerate(values)]
         out.append((den, scale, rows))
     return out
@@ -254,7 +217,7 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
         scale = 1 if rho is None else rho.constant_value()
         return [scale * m for m in axial_moments_brion(p, z, count)]
     d = p.dim
-    coords, q = _integerize(_direction_coords(z))
+    coords, q = integerize(_direction_coords(z))
     sign = (-1) ** d
     out = [0] * count
     for s, piece in _density_parts(rho).items():
@@ -329,7 +292,7 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     where sum_j H_j^(a)(c) t^j = prod_i (1 - c_i t)^-(a_i+1).
     """
     d = p.dim
-    coords, q = _integerize(_direction_coords(z))
+    coords, q = integerize(_direction_coords(z))
     n_lambda = d + 1
     out = [0] * count
     for simplex in triangulation_of(p):
@@ -339,13 +302,13 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
         if vol == 0:
             raise InputError(f"degenerate simplex {simplex}")
         # c_i = projs[i] / scale, so h_j(c) = h_j(projs) / scale^j
-        projs, scale = _integerize([dot(v, coords) for v in pts])
+        projs, scale = integerize([dot(v, coords) for v in pts])
         # H^(0): the complete homogeneous symmetric polynomials h_j
         base = [1] + [0] * (count - 1)
         for c in projs:
             _geometric_pass(base, c)
         density = _substitute_density(rho, _lambda_coordinate_polys(pts, n_lambda), n_lambda)
-        coefs, den = _integerize([vol * r for r in density.terms.values()])
+        coefs, den = integerize([vol * r for r in density.terms.values()])
         # j!/(j+d+s)! = falling(j+d+top, top-s) / falling(j+d+top, d+top)
         top = density.degree
         acc = [0] * count
@@ -375,7 +338,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
     """Entry c_{k+1} of the scaled moment vector computed from the vertex
     side of the matrix identity: sum_s falling(k, deg-s) *
     [rho_s(d/dz) sum_v <v,z>^{k-deg+s} D_v(z)](z)."""
-    coords, q = _integerize(_direction_coords(z))
+    coords, q = integerize(_direction_coords(z))
     deg = 0 if rho is None else rho.degree
     # every term is homogeneous of degree k - d - deg in z
     hom = k - p.dim - deg
@@ -606,7 +569,7 @@ def monomial_moments_of_degree(
             ).coords
         try:
             # mu_m does not depend on z, so z may be scaled to integers
-            return _monomial_moments_at(p, _integerize(coords)[0], q, parts, exps)
+            return _monomial_moments_at(p, integerize(coords)[0], q, parts, exps)
         except DenominatorVanishes:
             if z is not None:
                 raise
@@ -662,7 +625,7 @@ class PolytopeMomentOracle:
         self.noise = noise
         self.rng = rng
         self._values = {}
-        self._requested = set()
+        self._requested = {}  # coords -> the indices j requested there
 
     @property
     def dim(self):
@@ -675,7 +638,7 @@ class PolytopeMomentOracle:
     @property
     def unique_count(self):
         """Number of distinct measurements (z, j) actually requested."""
-        return len(self._requested)
+        return sum(map(len, self._requested.values()))
 
     def _ensure(self, coords, count):
         if (coords, count - 1) in self._values:
@@ -696,23 +659,30 @@ class PolytopeMomentOracle:
 
     def moment(self, z, j: int):
         coords = _direction_coords(z)
+        _check_index(j)
         key = (coords, j)
         if key not in self._values:
             self._ensure(coords, j + 1)
-        self._requested.add(key)
+        self._requested.setdefault(coords, set()).add(j)
         return self._values[key]
 
     def sequence(self, z, count: int) -> MomentSequence:
         coords = _direction_coords(z)
+        _check_index(count)
         self._ensure(coords, count)
-        moments = tuple(self.moment(coords, j) for j in range(count))
+        self._requested.setdefault(coords, set()).update(range(count))
         return MomentSequence(
             dim=self.dim,
             direction=coords,
             density_degree=self.density_degree,
             mode=self.mode,
-            moments=moments,
+            moments=tuple(self._values[coords, j] for j in range(count)),
         )
+
+
+def _check_index(j):
+    if j < 0:
+        raise InputError(f"moment index or count must be nonnegative, got {j}")
 
 
 class SequenceMomentOracle:
@@ -749,6 +719,7 @@ class SequenceMomentOracle:
 
     def moment(self, z, j: int):
         coords = _direction_coords(z)
+        _check_index(j)
         ms = self.sequences.get(coords)
         if ms is None:
             raise InputError(f"no moments supplied for direction {coords}")
@@ -761,6 +732,7 @@ class SequenceMomentOracle:
 
     def sequence(self, z, count: int) -> MomentSequence:
         coords = _direction_coords(z)
+        _check_index(count)
         moments = tuple(self.moment(coords, j) for j in range(count))
         return MomentSequence(
             dim=self.dim,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InputError
 
@@ -81,6 +81,16 @@ def falling(n: int, k: int) -> int:
     for i in range(k):
         out *= n - i
     return out
+
+
+def integerize(values):
+    """(n, q) with values = n / q for the lcm q of their denominators, by
+    integer operations. Unless every value is an int or a Fraction (say a
+    float), the values pass through with q = 1."""
+    if not all(isinstance(x, (int, Fraction)) for x in values):
+        return values, 1
+    q = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (q // x.denominator) for x in values), q
 
 
 def exact_div(value, divisor: int):

@@ -2,8 +2,9 @@
 
 The pipeline recovers projections of the vertex set in d independent
 directions, matches projections across directions through combined
-directions z_1 + beta z_i (a pair (j, k) matches when the combined Prony
-polynomial vanishes at x_j + beta y_k), and solves a d x d linear system
+directions z_1 + beta z_i (a pair (j, k) matches when x_j + beta y_k is
+a root of the combined Prony polynomial: in exact mode an exact root, so one
+root search replaces N^2 evaluations), and solves a d x d linear system
 per vertex. A frugal variant uses only d+1 directions at the price of
 enumerating all candidate index tuples.
 
@@ -45,6 +46,7 @@ from .prony import (
     moments_needed,
     projections_from_moments,
     prony_polynomial_from_sequence,
+    roots_exact,
 )
 
 # a direction whose Prony solve raises one of these is resampled (a cone pole
@@ -87,26 +89,47 @@ def sequence_from_oracle(oracle, coords, n_for_hankel: int,
 def match_projections(x1, xi, beta, pz: PronyPolynomial, mode=EXACT,
                       match_tol=1e-6, alpha=1):
     """Pair each x_j in x1 with the unique y_k in xi such that
-    p_z(alpha x_j + beta y_k) = 0 (exactly, or within match_tol in float
-    mode). Raises AmbiguousMatching unless the pairing is a bijection."""
+    alpha x_j + beta y_k is a root of p_z (float mode: |p_z| < match_tol
+    there). Raises AmbiguousMatching unless the pairing is a bijection, and
+    in exact mode when p_z has an irrational root."""
     n = len(x1)
     if len(xi) != n:
         raise InputError("projection sets of unequal size")
+    hits = _tuple_hits(pz, (alpha, beta), (x1, xi), mode, match_tol)
+    if hits is None:
+        raise AmbiguousMatching(f"combined polynomial has an irrational root with beta={beta}")
     pairing = []
     for j, xj in enumerate(x1):
-        hits = []
-        for k, yk in enumerate(xi):
-            val = pz.eval(alpha * xj + beta * yk)
-            if (val == 0) if mode == EXACT else (abs(val) < match_tol):
-                hits.append(k)
-        if len(hits) != 1:
+        ks = [k for i, k in hits if i == j]
+        if len(ks) != 1:
             raise AmbiguousMatching(
-                f"projection {xj} matched {len(hits)} candidates with beta={beta}"
+                f"projection {xj} matched {len(ks)} candidates with beta={beta}"
             )
-        pairing.append(hits[0])
+        pairing.append(ks[0])
     if len(set(pairing)) != n:
         raise AmbiguousMatching(f"pairing is not a bijection with beta={beta}")
     return tuple(pairing)
+
+
+def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6):
+    """Index tuples (k_1, ..., k_d), in product order, whose candidate
+    sum_i alpha_i values_i[k_i] is a root of pz (float mode: |pz| <
+    match_tol), or None when pz has an irrational root. Exact mode searches
+    the roots once: their multiplicities add up to the degree, so a
+    candidate is a root exactly when it is a key."""
+    if mode == EXACT:
+        try:
+            hit = roots_exact(pz).__contains__
+        except IrrationalRoot:
+            return None
+    else:
+        def hit(s):
+            return abs(pz.eval(s)) < match_tol
+    scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
+    return [
+        combo for combo in itertools.product(*(range(len(v)) for v in values))
+        if hit(sum(row[k] for row, k in zip(scaled, combo)))
+    ]
 
 
 def _beta_sequence(mode, rng):
@@ -537,32 +560,16 @@ def match_frugal_d_plus_1(
         if trials >= max_trials:
             break
         trials += 1
-        coords = tuple(
-            sum((a * z[t] for a, z in zip(alphas, prov.directions)),
-                0 if pipe.config.mode == FLOAT else Fraction(0))
-            for t in range(d)
-        )
+        coords = tuple(sum(a * z[t] for a, z in zip(alphas, prov.directions)) for t in range(d))
         try:
             pz = pipe.poly_at(coords, n)
         except (NonGenericDirection, DenominatorVanishes):
             prov.retries += 1
             continue
-        hits = []
-        for combo in itertools.product(range(n), repeat=d):
-            s = sum(
-                (a * vals[k] for a, vals, k in zip(alphas, values, combo)),
-                0 if pipe.config.mode == FLOAT else Fraction(0),
-            )
-            val = pz.eval(s)
-            ok = (val == 0) if pipe.config.mode == EXACT else (
-                abs(val) < pipe.config.match_tol
-            )
-            if ok:
-                hits.append(combo)
-        counts_ok = len(hits) == n and all(
+        hits = _tuple_hits(pz, alphas, values, pipe.config.mode, pipe.config.match_tol)
+        if hits is not None and len(hits) == n and all(
             sorted(h[j] for h in hits) == list(range(n)) for j in range(d)
-        )
-        if counts_ok:
+        ):
             accepted = hits
             prov.betas = [list(alphas)]
             break

@@ -25,11 +25,13 @@ from polymom.geometry import (
     dot,
     polytope_to_float,
     sample_generic_direction,
+    simplex_cones,
 )
 from polymom.linalg import det_exact
 from polymom.moments import (
     MomentSequence,
     PolytopeMomentOracle,
+    SequenceMomentOracle,
     add_noise,
     axial_moment_brion,
     axial_moment_brion_density,
@@ -327,15 +329,40 @@ class TestClosedForms:
                 axial_moments_direct(flat, (F(1), F(2)), count)
 
 
+def _cone_weight_reference(cone, z):
+    denom = None
+    for w in cone.edges:
+        s = dot(w, z)
+        if s == 0:
+            raise DenominatorVanishes(cone.vertex, tuple(w))
+        denom = s if denom is None else denom * s
+    return cone.det / denom
+
+
+def _vertex_weight_terms_reference(p, z):
+    """The vertex weights before the cone table: every cone rebuilt from
+    the polytope's own (Fraction or float) data for each direction."""
+    if p.cones is not None:
+        return [(dot(p.vertices[c.vertex], z), _cone_weight_reference(c, z))
+                for c in p.cones]
+    weights = {}
+    for simplex in triangulation_of(p):
+        for cone in simplex_cones(p.vertices, simplex):
+            w = _cone_weight_reference(cone, z)
+            weights[cone.vertex] = weights[cone.vertex] + w if cone.vertex in weights else w
+    return [(dot(p.vertices[i], z), weights[i]) for i in sorted(weights)]
+
+
 def _uniform_brion_reference(p, z, count):
     """The uniform vertex sum on Fraction (or float) powers, vertex by
-    vertex. Only a rational direction is cleared, to q z, and mu_j is
-    divided by q^j at the end."""
+    vertex, with the weights of ``_vertex_weight_terms_reference``. Only a
+    rational direction is cleared, to q z, and mu_j is divided by q^j at
+    the end."""
     d = p.dim
     q = 1
     if all(isinstance(x, Fraction) for x in z):
         q = lcm(*(x.denominator for x in z))
-    terms = vertex_weight_terms(p, tuple(x * q for x in z))
+    terms = _vertex_weight_terms_reference(p, tuple(x * q for x in z))
     powers = [proj**d * w for proj, w in terms]
     out = []
     for j in range(count):
@@ -373,6 +400,88 @@ class TestUniformBrionOnIntegers:
             # float direction, and exact direction on a float polytope
             for w in (zf, z):
                 assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, w, count)
+
+
+def _without_cones(p):
+    return Polytope(dim=p.dim, vertices=p.vertices, simplices=p.simplices)
+
+
+def _integer_polytope(p, factor):
+    """factor * P with integer vertices, its cones and triangulation kept."""
+    scaled = tuple(tuple(int(x * factor) for x in v) for v in p.vertices)
+    return Polytope(dim=p.dim, vertices=scaled, cones=p.cones, simplices=p.simplices)
+
+
+class TestConeTable:
+    """The per-polytope integer cone table against the weights rebuilt
+    from the polytope's own data for every direction."""
+
+    def _cases(self, seed, n):
+        for p, _, z, count in _closed_form_cases(seed, n):
+            q = lcm(*(x.denominator for v in p.vertices for x in v))
+            for variant in (p, _without_cones(p), _integer_polytope(p, q)):
+                if variant.cones is None and variant.simplices is None and variant.dim == 3:
+                    continue
+                yield variant, z, count
+
+    def test_exact_moments_and_weights(self):
+        kinds = set()
+        for p, z, count in self._cases(12, 24):
+            try:
+                want = _vertex_weight_terms_reference(p, z)
+            except DenominatorVanishes:
+                # z can be orthogonal to a diagonal of the triangulation
+                for call in (vertex_weight_terms, axial_moments_brion):
+                    with pytest.raises(DenominatorVanishes):
+                        call(p, z, *([count] if call is axial_moments_brion else []))
+                continue
+            assert vertex_weight_terms(p, z) == want
+            got = axial_moments_brion(p, z, count)
+            assert got == _uniform_brion_reference(p, z, count)
+            assert all(isinstance(m, Fraction) for m in got)
+            kinds.add((p.cones is None, isinstance(p.vertices[0][0], int)))
+        assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_float_weights_and_moments_are_unchanged(self):
+        for p, z, count in self._cases(13, 18):
+            pf, zf = polytope_to_float(p), tuple(float(x) for x in z)
+            for w in (zf, z):
+                assert vertex_weight_terms(pf, w) == _vertex_weight_terms_reference(pf, w)
+                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, w, count)
+
+    def test_denominator_vanishes_names_the_given_edge(self):
+        half = Polytope(
+            dim=2,
+            vertices=((F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 3))),
+            simplices=((0, 1, 2),),
+        )
+        with_cones = Polytope(dim=2, vertices=half.vertices,
+                              cones=tuple(simplex_cones(half.vertices, (0, 1, 2))))
+        for p in (half, with_cones):
+            for call in (lambda: axial_moments_brion(p, (F(0), F(1)), 3),
+                         lambda: vertex_weight_terms(p, (F(0), F(1)))):
+                with pytest.raises(DenominatorVanishes) as info:
+                    call()
+                assert info.value.vertex == 0 and info.value.edge == (F(1, 2), F(0))
+
+    def test_built_once_across_directions(self, monkeypatch):
+        from polymom import geometry
+
+        calls = []
+        original = geometry.simplex_cones
+
+        def counted(vertices, simplex):
+            calls.append(simplex)
+            return original(vertices, simplex)
+
+        monkeypatch.setattr(geometry, "simplex_cones", counted)
+        pyr = square_pyramid()
+        rng = Random(14)
+        for _ in range(12):
+            z = sample_generic_direction(3, 1009, rng).coords
+            assert axial_moments_brion(pyr, z, 4) == axial_moments_direct(pyr, z, 4)
+            axial_moments_brion_density(pyr, z, 2, poly_parse("1 + x1 + x2 x3", 3))
+        assert sorted(calls) == sorted(pyr.simplices)
 
 
 class TestCompanionIdentities:
@@ -547,6 +656,81 @@ class TestRoutesAndFiles:
         )
         z = (0.25, 0.75)
         assert oracle.moment(z, 3) == oracle.moment(z, 3)
+
+
+class _ReferenceOracle(PolytopeMomentOracle):
+    """The oracle's bookkeeping before one entry per direction: a set of
+    (coords, j) keys, and ``sequence`` calling ``moment`` for every j."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._requested = set()
+
+    @property
+    def unique_count(self):
+        return len(self._requested)
+
+    def moment(self, z, j):
+        key = (tuple(z), j)
+        if key not in self._values:
+            self._ensure(tuple(z), j + 1)
+        self._requested.add(key)
+        return self._values[key]
+
+    def sequence(self, z, count):
+        self._ensure(tuple(z), count)
+        return tuple(self.moment(z, j) for j in range(count))
+
+
+class TestOracleBookkeeping:
+    def _calls(self, seed, dim):
+        rng = Random(seed)
+        dirs = [sample_generic_direction(dim, 1009, rng).coords for _ in range(3)]
+        for _ in range(40):
+            z = rng.choice(dirs)
+            if rng.random() < 0.5:
+                yield "moment", z, rng.randint(0, 9)
+            else:
+                yield "sequence", z, rng.randint(0, 9)
+
+    def test_interleaved_calls_match_the_reference(self):
+        square, cube = unit_square(), unit_cube()
+        for seed, p, kwargs in ((15, square, {}),
+                                (16, cube, {"route": "direct"}),
+                                (17, square, {"mode": "float", "noise": 1e-6}),
+                                (18, cube, {"mode": "float", "noise": 1e-3})):
+            new = PolytopeMomentOracle(p, rng=Random(seed), **kwargs)
+            old = _ReferenceOracle(p, rng=Random(seed), **kwargs)
+            for kind, z, k in self._calls(seed, p.dim):
+                got = getattr(new, kind)(z, k)
+                want = getattr(old, kind)(z, k)
+                if kind == "sequence":
+                    assert got.moments == want and got.direction == z
+                else:
+                    assert got == want
+                assert new.unique_count == old.unique_count
+
+    def test_negative_moment_index_rejected(self):
+        oracle = PolytopeMomentOracle(unit_triangle())
+        with pytest.raises(InputError):
+            oracle.moment((F(1), F(2)), -1)
+        assert oracle.unique_count == 0
+
+    def test_negative_count_rejected(self):
+        oracle = PolytopeMomentOracle(unit_triangle())
+        with pytest.raises(InputError):
+            oracle.sequence((F(1), F(2)), -2)
+        assert oracle.unique_count == 0
+
+    def test_sequence_oracle_rejects_negative_index(self):
+        ms = moment_sequence(unit_triangle(), (F(1), F(2)), 3)
+        oracle = SequenceMomentOracle([ms])
+        with pytest.raises(InputError):
+            oracle.moment(ms.direction, -1)
+        with pytest.raises(InputError):
+            oracle.sequence(ms.direction, -2)
+        assert oracle.unique_count == 0
+        assert oracle.moment(ms.direction, 2) == ms.moments[2]
 
 
 class TestPyramidForward:

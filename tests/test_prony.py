@@ -1,7 +1,7 @@
 """Hankel construction, rank/kernel extraction, and root recovery."""
 
 from fractions import Fraction
-from math import perm
+from math import isqrt, perm
 from random import Random
 
 import pytest
@@ -441,6 +441,14 @@ def _times(a, b):
     return out
 
 
+def _prime_times_square(rng):
+    return rng.choice((2, 3, 5, 7)) * F(rng.randint(1, 9), rng.randint(1, 9)) ** 2
+
+
+def _is_rational_square(x):
+    return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+
 def _root_case(rng):
     """(coeffs, hint, expected multiset or None) over the families of the
     root search: 1-14 distinct roots over one common denominator or mixed
@@ -467,9 +475,15 @@ def _root_case(rng):
     coeffs = _from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
     expected = dict(zip(roots, mults))
     if rng.random() < 0.2:
-        # t^2 - a with a not a square, or t^2 + t + b with 4b > 1
-        a = rng.choice((2, 3, 5, 7)) * F(rng.randint(1, 9), rng.randint(1, 9)) ** 2
-        quad = [-a, F(0), F(1)] if rng.random() < 0.5 else [a, F(1), F(1)]
+        # t^2 - a with a not a square, or t^2 + t + a with 1 - 4a not a
+        # rational square (a is redrawn until it is not)
+        a = _prime_times_square(rng)
+        if rng.random() < 0.5:
+            quad = [-a, F(0), F(1)]
+        else:
+            while _is_rational_square(1 - 4 * a):
+                a = _prime_times_square(rng)
+            quad = [a, F(1), F(1)]
         for _ in range(hint):
             coeffs = _times(coeffs, quad)
         expected = None
@@ -490,6 +504,14 @@ class TestRootSearch:
                 assert roots_exact(poly) == expected
             outcomes.add((expected is None, hint > 1))
         assert len(outcomes) == 4
+
+    def test_irreducible_quadratics_are_labelled_right(self):
+        # t^2 + t + 2/9 = (t + 1/3)(t + 2/3): 1 - 4a = 1/9 is a square, so
+        # _root_case redraws such an a instead of expecting IrrationalRoot
+        assert _is_rational_square(1 - 4 * F(2, 9))
+        assert roots_exact(PronyPolynomial((F(2, 9), F(1)))) == {F(-1, 3): 1, F(-2, 3): 1}
+        for x in (F(-7), F(2, 9), F(8, 9)):
+            assert not _is_rational_square(x)
 
     def test_close_pair_seeded_on_the_midpoint(self):
         # roots (m -+ 1)/7: with s = 7, g(u) = (u - m)^2 - 1 and both float

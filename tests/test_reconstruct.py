@@ -1,12 +1,17 @@
 """Cross-direction matching and full vertex reconstruction."""
 
+import itertools
 from fractions import Fraction
+from importlib import import_module
+from math import factorial
 from random import Random
 
 import pytest
 
 from conftest import (
     random_density,
+    random_polygon,
+    random_prism,
     random_simple_polytope,
     square_pyramid,
     unit_cube,
@@ -18,12 +23,14 @@ from polymom.errors import (
     AmbiguousMatching,
     InputError,
     InsufficientMoments,
+    IrrationalRoot,
     MatchingFailure,
 )
-from polymom.geometry import polytope_to_float
-from polymom.moments import PolytopeMomentOracle, moment_sequence
+from polymom.geometry import dot, polytope_to_float
+from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
 from polymom.prony import PronyPolynomial, moments_needed
 from polymom.reconstruct import (
+    _tuple_hits,
     assemble_vertices,
     choose_beta,
     match_frugal_d_plus_1,
@@ -35,6 +42,8 @@ from polymom.reconstruct import (
 )
 
 F = Fraction
+# the package namespace binds ``reconstruct`` to the function
+reconstruct_module = import_module("polymom.reconstruct")
 
 
 def _poly_from_roots(roots):
@@ -70,6 +79,131 @@ class TestMatchProjections:
         pz = _poly_from_roots([F(0)])
         with pytest.raises(InputError):
             match_projections((F(0), F(1)), (F(0),), F(1), pz)
+
+
+def _horner_match(x1, xi, beta, pz):
+    """The matcher before root-set matching, kept as the reference: one
+    Horner evaluation of pz per candidate pair."""
+    pairing = []
+    for xj in x1:
+        hits = [k for k, yk in enumerate(xi) if pz.eval(xj + beta * yk) == 0]
+        if len(hits) != 1:
+            raise AmbiguousMatching("reference")
+        pairing.append(hits[0])
+    if len(set(pairing)) != len(x1):
+        raise AmbiguousMatching("reference")
+    return tuple(pairing)
+
+
+def _horner_hits(pz, alphas, values):
+    """The frugal hit set before root-set matching, kept as the reference."""
+    return [
+        combo for combo in itertools.product(range(len(values[0])), repeat=len(values))
+        if pz.eval(sum(a * vals[k] for a, vals, k in zip(alphas, values, combo))) == 0
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AmbiguousMatching:
+        return AmbiguousMatching
+
+
+def _matching_cases(seed, count):
+    """Seeded polygons and prisms with small integer directions z_1, z_i,
+    so that some combined directions collide, as (vertices, x1, xi, z1, zi)
+    with x1, xi the sorted projections; directions that collide on their
+    own are skipped."""
+    rng = Random(seed)
+    made = 0
+    while made < count:
+        p = random_polygon(rng) if made % 2 else random_prism(rng)
+        z1, zi = (tuple(F(rng.randint(-3, 3)) for _ in range(p.dim)) for _ in range(2))
+        x1, xi = (sorted({dot(v, z) for v in p.vertices}) for z in (z1, zi))
+        if len(x1) == len(xi) == p.n_vertices:
+            made += 1
+            yield p.vertices, x1, xi, z1, zi
+
+
+def _combined_poly(vertices, z):
+    """The combined direction's polynomial prod_v (t - <v,z>), repeated
+    roots included where vertices collide on z."""
+    return _poly_from_roots([dot(v, z) for v in vertices])
+
+
+class TestRootSetMatching:
+    def test_pairings_equal_the_horner_reference(self):
+        outcomes, collided = set(), False
+        for verts, x1, xi, z1, zi in _matching_cases(3, 24):
+            for beta in (F(1), F(2), F(3), F(5), F(1, 2), F(-1)):
+                z = tuple(a + beta * b for a, b in zip(z1, zi))
+                pz = _combined_poly(verts, z)
+                want = _outcome(_horner_match, x1, xi, beta, pz)
+                assert _outcome(match_projections, x1, xi, beta, pz) == want
+                outcomes.add(want is AmbiguousMatching)
+                collided |= len({dot(v, z) for v in verts}) < len(verts)
+        assert outcomes == {True, False} and collided
+
+    def test_frugal_hits_equal_the_horner_reference(self):
+        sizes = set()
+        for verts, x1, xi, z1, zi in _matching_cases(4, 16):
+            d = len(z1)
+            zs = [z1, zi] + [tuple(F(k + 1) for k in range(d))] * (d - 2)
+            values = [sorted({dot(v, z) for v in verts}) for z in zs]
+            if any(len(vals) != len(verts) for vals in values):
+                continue
+            for q in (1, 2, 3):
+                alphas = tuple(F(q) ** k for k in range(d))
+                z = tuple(sum(a * w[t] for a, w in zip(alphas, zs)) for t in range(d))
+                pz = _combined_poly(verts, z)
+                hits = _tuple_hits(pz, alphas, values)
+                assert hits == _horner_hits(pz, alphas, values)
+                sizes.add(len(hits) == len(verts))
+        assert sizes == {True, False}
+
+    def test_irrational_factor_is_a_failed_trial(self):
+        # t (t - 3) (t^2 - 2): Horner would find the rational candidates
+        pz = _poly_from_roots([F(0), F(3)])
+        pz = PronyPolynomial(tuple(_times(pz.full_coeffs(), [F(-2), F(0), F(1)])[:-1]))
+        with pytest.raises(AmbiguousMatching, match="irrational"):
+            match_projections((F(0), F(1)), (F(0), F(1)), F(3), pz)
+        assert _tuple_hits(pz, (F(1), F(3)), [(F(0), F(1)), (F(0), F(1))]) is None
+
+    def test_irrational_root_adds_one_retry(self, monkeypatch):
+        # the first root search of the matching steps reports an irrational
+        # root: reconstruct and frugal spend exactly one more trial
+        def run(solver, p, nmax):
+            return solver(PolytopeMomentOracle(p), nmax, _cfg(), rng=Random(5))
+
+        def first_call_irrational(roots_exact):
+            calls = []
+
+            def patched(pz):
+                calls.append(pz)
+                if len(calls) == 1:
+                    raise IrrationalRoot("injected")
+                return roots_exact(pz)
+
+            return patched
+
+        for solver, p, nmax in ((reconstruct, unit_square(), 4),
+                                (match_frugal_d_plus_1, unit_cube(), 8)):
+            plain = run(solver, p, nmax)
+            with monkeypatch.context() as m:
+                m.setattr(reconstruct_module, "roots_exact",
+                          first_call_irrational(reconstruct_module.roots_exact))
+                injected = run(solver, p, nmax)
+            assert injected.vertices == plain.vertices
+            assert injected.provenance.retries == plain.provenance.retries + 1
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 class TestChooseBeta:
@@ -323,6 +457,24 @@ class TestSequenceReconstruction:
         vs = reconstruct_from_sequences(seqs, 3)
         assert vs.vertices == tuple(sorted(tri.vertices))
         assert vs.provenance.betas == [F(3)]
+
+    def test_irrational_combined_file_is_a_failed_trial(self):
+        # a supplied z1 + z2 file whose polynomial is t (t^2 - 2), of full
+        # degree 3: c_k = 2^(k/2+1) for even k > 0, else 0, and
+        # mu_j = c_(j+2) j!/(j+2)!; the beta = 3 file after it still matches
+        tri = unit_triangle()
+        dirs = [(F(1), F(2)), (F(2), F(1))]
+        seqs = self._sequences(tri, dirs, 7, betas=[(1, F(3))])
+        c = [F(2 ** (k // 2 + 1)) if k % 2 == 0 and k else F(0) for k in range(9)]
+        fake = MomentSequence(
+            dim=2, direction=(F(3), F(3)), density_degree=0, mode="exact",
+            moments=tuple(c[j + 2] * F(factorial(j), factorial(j + 2)) for j in range(7)))
+        vs = reconstruct_from_sequences(seqs[:2] + [fake] + seqs[2:], 3)
+        assert vs.vertices == tuple(sorted(tri.vertices))
+        assert vs.provenance.betas == [F(3)]
+        assert vs.provenance.retries == 1
+        with pytest.raises(MatchingFailure, match="irrational"):
+            reconstruct_from_sequences(seqs[:2] + [fake], 3)
 
     def test_missing_combined_direction(self):
         tri = unit_triangle()
