@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import InputError
 from .geometry import DEFAULT_DENOMINATOR, _is_prime
+from .moments import _check_noise
 from .numeric import EXACT, FLOAT
 
 
@@ -37,14 +39,17 @@ class RunConfig:
             raise InputError(f"unknown mode {self.mode!r}")
         for name in ("rank_tol", "real_tol", "cluster_tol", "match_tol",
                      "separation_tol"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < inf:
+                raise InputError(f"{name} must be finite and positive")
+        if not self.rank_tol < 1:
+            raise InputError("rank_tol must be below 1")
+        if self.float_oversample < 0:
+            raise InputError("float_oversample must be nonnegative")
         if self.direction_retries < 1:
             raise InputError("direction_retries must be at least 1")
         if self.beta_trials is not None and self.beta_trials < 1:
             raise InputError("beta_trials must be at least 1")
-        if self.noise < 0:
-            raise InputError("noise must be nonnegative")
+        _check_noise(self.noise)
         if self.noise and self.mode == EXACT:
             raise InputError("noise requires float mode")
         if nmax is not None and nmax < 1:

@@ -31,8 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, inf, lcm
 from random import Random
+
+import numpy as np
 
 from .errors import (
     DenominatorVanishes,
@@ -120,7 +122,8 @@ def axial_moments_brion(p: Polytope, z, count: int):
     on the integers of ``p.cone_table``: with <v,z> = n_v / scale and
     D-tilde_v = f_v / den over one den,
     mu_j = (-1)^d sum_v n_v^(j+d) f_v / (falling(j+d, d) den scale^(j+d)).
-    Float inputs keep scale = den = 1."""
+    Float data keeps scale = den = 1 and runs the same products, vertex
+    sums and divisions on one vertex x moment array."""
     d = p.dim
     coords, q = integerize(_direction_coords(z))
     scale, vertices, cones = p.cone_table
@@ -133,9 +136,16 @@ def axial_moments_brion(p: Polytope, z, count: int):
             weights[v] = weights.get(v, 0) + a * (den // b)
         projs = [dot(vertices[v], coords) for v in weights]
         weights = list(weights.values())
-    else:  # float data
+    else:  # row v: n_v^d f_v, then n_v; cumprod multiplies in that order
         terms = vertex_weight_terms(p, coords)
-        projs, weights, scale, den = [t for t, _ in terms], [w for _, w in terms], 1, 1
+        powers = np.empty((len(terms), count))
+        for row, (n, f) in zip(powers, terms):
+            row[:1], row[1:] = n**d * f, n
+        total = np.zeros(count)
+        for row in np.cumprod(powers, axis=1):
+            total += row
+        falls = [float(falling(j + d, d)) for j in range(count)]
+        return _descale(((-1) ** d * total / falls).tolist(), q)
     sign = (-1) ** d
     powers = [n**d * f for n, f in zip(projs, weights)]
     out = []
@@ -411,8 +421,11 @@ def scaled_moment_vector(ms: MomentSequence, k: int) -> ScaledMomentVector:
         )
     sign = (-1) ** ms.dim
     c = [0] * min(lead, k + 1)
+    factor = falling(lead, lead)
     for j in range(max(0, needed)):
-        c.append(sign * falling(j + lead, lead) * ms.moments[j])
+        if j:  # falling(j + lead, lead), one step from the last
+            factor = factor * (j + lead) // j
+        c.append(sign * factor * ms.moments[j])
     return ScaledMomentVector(c=tuple(c), dim=ms.dim, density_degree=ms.density_degree)
 
 
@@ -456,10 +469,17 @@ def _moments_close(a, b, mode):
     return abs(float(a) - float(b)) <= 1e-9 * scale
 
 
+def _check_noise(noise):
+    """Raise InputError unless the relative noise level is finite and >= 0."""
+    if not 0 <= noise < inf:
+        raise InputError(f"noise must be finite and nonnegative, got {noise}")
+
+
 def add_noise(ms: MomentSequence, eps_rel: float, rng) -> MomentSequence:
     """Multiply each moment by (1 + delta), delta uniform in [-eps, eps]."""
     if ms.mode != FLOAT:
         raise InputError("noise injection requires float mode")
+    _check_noise(eps_rel)
     noisy = tuple(m * (1.0 + rng.uniform(-eps_rel, eps_rel)) for m in ms.moments)
     return MomentSequence(
         dim=ms.dim,
@@ -614,6 +634,7 @@ class PolytopeMomentOracle:
         rng=None,
     ):
         if mode == FLOAT:
+            _check_noise(noise)
             polytope = polytope_to_float(polytope)
             density = density.to_float() if density is not None else None
         elif noise:

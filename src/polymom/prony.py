@@ -15,7 +15,9 @@ certifies each one. Each root is divided out as often as it divides; a
 repeated root left behind is a simple root of a derivative, so the search
 walks the derivative chain of the remainder. Float mode uses SVD rank
 detection with a relative threshold and companion-matrix eigenvalues with
-root clustering.
+root clustering: the Hankel is indexed once into an array, the rank at m
+and at m-1 comes from values-only SVDs of it and of its leading block, and
+one full SVD gives the kernel.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class HankelSystem:
     rows: tuple
     mode: str
 
-    def leading(self, size: int) -> "HankelSystem":
-        rows = tuple(row[:size] for row in self.rows[:size])
-        return HankelSystem(m=size, rows=rows, mode=self.mode)
-
 
 def build_hankel(c, m: int) -> HankelSystem:
     """H[i][j] = c_{i+j+1} (c given as the list c_1, c_2, ...)."""
@@ -71,12 +69,12 @@ def build_hankel(c, m: int) -> HankelSystem:
     return HankelSystem(m=m, rows=rows, mode=mode)
 
 
-def _svd_rank(rows, rank_tol):
-    a = np.array(rows, dtype=float)
+def _svd_rank(a, rank_tol):
+    """Numerical rank of the float array a from its singular values alone."""
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
-        return 0, sigma
-    return int(np.sum(sigma > rank_tol * sigma[0])), sigma
+        return 0
+    return int(np.sum(sigma > rank_tol * sigma[0]))
 
 
 def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
@@ -94,7 +92,7 @@ def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
         basis = linalg.kernel_basis([list(r) for r in h.rows])
         return h.m - len(basis), basis
     a = np.array(h.rows, dtype=float)
-    rank, _ = _svd_rank(h.rows, rank_tol)
+    rank = _svd_rank(a, rank_tol)
     _, _, vh = np.linalg.svd(a)
     return rank, [vh[i] for i in range(rank, h.m)]
 
@@ -214,18 +212,24 @@ def minimal_kernel_vector(
             coeffs=_exact_kernel(seq, h.m), multiplicity=multiplicity,
             scale=scale,
         )
-    rank, _ = _svd_rank(h.rows, rank_tol)
+    a = np.array(h.rows, dtype=float)
+    rank = _svd_rank(a, rank_tol)
     if rank == h.m:
         raise FullRankHankel(
             f"Hankel matrix of size {h.m} has full numerical rank; "
             "request more moments"
         )
-    a = np.array(h.rows, dtype=float)
+    return _float_kernel(a, rank, multiplicity, scale)
+
+
+def _float_kernel(a, rank: int, mult: int, scale) -> PronyPolynomial:
+    """The minimal kernel vector of the float Hankel array a at the given
+    rank, from the trailing right singular vectors of one full SVD."""
     _, _, vh = np.linalg.svd(a)
     null_basis = vh[rank:].T  # columns span the numerical kernel
     # combine kernel vectors into the shape (a_0..a_{rank-1}, 1, 0, ..., 0):
     # constrain entries rank..m-1 to the pattern (1, 0, ..., 0)
-    pattern = np.zeros(h.m - rank)
+    pattern = np.zeros(len(a) - rank)
     pattern[0] = 1.0
     sol, *_ = np.linalg.lstsq(null_basis[rank:, :], pattern, rcond=None)
     v = null_basis @ sol
@@ -235,9 +239,7 @@ def minimal_kernel_vector(
         )
     v = v / v[rank]
     return PronyPolynomial(
-        coeffs=tuple(float(x) for x in v[:rank]),
-        multiplicity=multiplicity,
-        scale=scale,
+        coeffs=tuple(v[:rank].tolist()), multiplicity=mult, scale=scale
     )
 
 
@@ -599,10 +601,9 @@ def prony_polynomial_from_sequence(
         return PronyPolynomial(coeffs=coeffs, multiplicity=mult)
     scale = _estimate_scale(c)
     _rescale(c, scale)
-    h = build_hankel(c, m)
-    prev = h.leading(m - 1)
-    rank_m, _ = _svd_rank(h.rows, rank_tol)
-    rank_prev, _ = _svd_rank(prev.rows, rank_tol)
+    a = np.array(c, dtype=float)[np.add.outer(np.arange(m), np.arange(m))]
+    rank_m = _svd_rank(a, rank_tol)
+    rank_prev = _svd_rank(a[:-1, :-1], rank_tol)
     if rank_m == m:
         raise FullRankHankel(
             f"Hankel rank {rank_m} is full at m={m}; nmax={nmax} too small"
@@ -616,12 +617,7 @@ def prony_polynomial_from_sequence(
         raise RankNotDivisible(
             f"rank {rank_m} not divisible by multiplicity {mult}"
         )
-    poly = minimal_kernel_vector(h, rank_tol, multiplicity=mult, scale=scale)
-    if poly.degree != rank_m:
-        raise RankInstability(
-            f"minimal kernel vector degree {poly.degree} != rank {rank_m}"
-        )
-    return poly
+    return _float_kernel(a, rank_m, mult, scale)
 
 
 def projections_from_moments(

@@ -116,16 +116,23 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6)
     sum_i alpha_i values_i[k_i] is a root of pz (float mode: |pz| <
     match_tol), or None when pz has an irrational root. Exact mode searches
     the roots once: their multiplicities add up to the degree, so a
-    candidate is a root exactly when it is a key."""
-    if mode == EXACT:
-        try:
-            hit = roots_exact(pz).__contains__
-        except IrrationalRoot:
-            return None
-    else:
-        def hit(s):
-            return abs(pz.eval(s)) < match_tol
+    candidate is a root exactly when it is a key. Float mode builds every
+    candidate sum by broadcasting and runs ``pz.eval``'s Horner on them all
+    at once, with the same operations in the same order."""
     scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
+    if mode != EXACT:
+        d = len(scaled)
+        x = sum(np.reshape(row, (-1,) + (1,) * (d - 1 - k))
+                for k, row in enumerate(scaled)) / pz.scale  # x / 1 is x, bit for bit
+        with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+            total = np.ones_like(x)
+            for a in reversed(pz.coeffs):
+                total = total * x + a
+        return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
+    try:
+        hit = roots_exact(pz).__contains__
+    except IrrationalRoot:
+        return None
     return [
         combo for combo in itertools.product(*(range(len(v)) for v in values))
         if hit(sum(row[k] for row, k in zip(scaled, combo)))

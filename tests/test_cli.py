@@ -125,6 +125,28 @@ def test_negative_density_degree_exit_2(tmp_path, capsys):
     assert "density_degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("reconstruct", ["--rank-tol", "nan"]),
+    ("reconstruct", ["--rank-tol", "1.5"]),
+    ("reconstruct", ["--noise", "nan"]),
+    ("reconstruct", ["--noise", "inf"]),
+    ("moments", ["--noise", "nan"]),
+    ("moments", ["--noise=-1e-9"]),
+], ids=["rank-tol-nan", "rank-tol-above-1", "noise-nan", "noise-inf",
+        "moments-noise-nan", "moments-noise-negative"])
+def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
+    if command == "moments":
+        args = ["moments", square_file, *MOMENTS_ARGS]
+    else:
+        args = ["reconstruct", "--oracle-polytope", square_file, "--nmax", "4",
+                "--seed", "5"]
+    code = main([*args, "--mode", "float", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 class TestMoments:
     def test_triangle_moments(self, triangle_file, tmp_path):
         out = tmp_path / "m.json"

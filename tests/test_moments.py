@@ -710,6 +710,14 @@ class TestOracleBookkeeping:
                     assert got == want
                 assert new.unique_count == old.unique_count
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1e-6])
+    def test_non_finite_or_negative_noise_rejected(self, noise):
+        with pytest.raises(InputError, match="noise"):
+            PolytopeMomentOracle(unit_square(), mode="float", noise=noise, rng=Random(7))
+        ms = moment_sequence(polytope_to_float(unit_square()), (0.25, 0.75), 4, mode="float")
+        with pytest.raises(InputError, match="noise"):
+            add_noise(ms, noise, Random(7))
+
     def test_negative_moment_index_rejected(self):
         oracle = PolytopeMomentOracle(unit_triangle())
         with pytest.raises(InputError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import isqrt, perm
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -768,3 +769,149 @@ class TestRankTheorem:
                     continue
             ps = projections_from_moments(ms, n)
             assert list(ps.values) == sorted(dot(v, z) for v in p.vertices)
+
+
+def _old_rank(rows, rank_tol):
+    sigma = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > rank_tol * sigma[0]))
+
+
+def _old_kernel(rows, rank_tol, mult, scale):
+    """The float branch of ``minimal_kernel_vector`` before the one-array
+    Hankel, kept as the reference: its own values-only SVD, then the full
+    SVD and the least-squares combination of the kernel vectors."""
+    m = len(rows)
+    rank = _old_rank(rows, rank_tol)
+    if rank == m:
+        raise FullRankHankel("reference")
+    _, _, vh = np.linalg.svd(np.array(rows, dtype=float))
+    null_basis = vh[rank:].T
+    pattern = np.zeros(m - rank)
+    pattern[0] = 1.0
+    sol, *_ = np.linalg.lstsq(null_basis[rank:, :], pattern, rcond=None)
+    v = null_basis @ sol
+    if abs(v[rank]) < 1e-10:
+        raise RankInstability("reference")
+    v = v / v[rank]
+    return PronyPolynomial(tuple(float(x) for x in v[:rank]), mult, scale)
+
+
+def _old_float_solve(ms, nmax, rank_tol=1e-8, oversample=0):
+    """The float sequence solve before the one-array Hankel, kept as the
+    reference: a tuple-of-tuples Hankel, its leading (m-1) block rebuilt
+    as tuples, and four SVDs."""
+    mult = ms.density_degree + 1
+    m = hankel_size(nmax, ms.density_degree, oversample)
+    c = list(scaled_moment_vector(ms, 2 * m - 2).c)
+    scale = prony._estimate_scale(c)
+    prony._rescale(c, scale)
+    rows = tuple(tuple(c[i + j] for j in range(m)) for i in range(m))
+    rank_m = _old_rank(rows, rank_tol)
+    rank_prev = _old_rank(tuple(row[:m - 1] for row in rows[:m - 1]), rank_tol)
+    if rank_m == m:
+        raise FullRankHankel("reference")
+    if rank_m != rank_prev:
+        raise RankInstability("reference")
+    if rank_m % mult:
+        raise RankNotDivisible("reference")
+    poly = _old_kernel(rows, rank_tol, mult, scale)
+    if poly.degree != rank_m:
+        raise RankInstability("reference")
+    return poly
+
+
+def _float_outcome(fn, *args):
+    """(coefficients, scale, multiplicity) on success, the exception class
+    on a PolymomError."""
+    try:
+        p = fn(*args)
+    except PolymomError as exc:
+        return type(exc)
+    assert all(type(a) is float for a in p.coeffs)
+    return p.coeffs, p.scale, p.multiplicity
+
+
+def _float_cases(seed, count):
+    """Seeded float moment sequences as (ms, nmax, oversample): polytope
+    moments, uniform and with densities of degree 1 and 2, noiseless and
+    noisy, at nmax below, at and above the vertex count; and the scaled
+    sequences of ``_random_sequence`` read as floats."""
+    rng = Random(seed)
+    for k in range(count):
+        if k % 3 == 2:
+            m, deg = rng.randint(2, 6), rng.randint(0, 2)
+            c = _random_sequence(rng, m, deg)
+            nmax = (m - 1) // (deg + 1)
+            if nmax < 1:
+                continue
+            ms = MomentSequence(
+                dim=0, direction=(), density_degree=deg, mode="float",
+                moments=tuple(float(c[j + deg] / perm(j + deg, deg))
+                              for j in range(len(c) - deg)),
+            )
+            yield ms, nmax, m - 1 - (deg + 1) * nmax
+            continue
+        p = random_simple_polytope(rng)
+        deg = rng.choice((0, 0, 1, 2))
+        rho = random_density(rng, p.dim, deg, p) if deg else None
+        oracle = PolytopeMomentOracle(
+            p, rho, mode="float", noise=rng.choice((0.0, 1e-9, 1e-6)),
+            rng=Random(k),
+        )
+        z = tuple(rng.uniform(0.1, 1.0) for _ in range(p.dim))
+        nmax = max(1, p.n_vertices + rng.choice((-1, 0, 0, 1)))
+        oversample = rng.choice((0, 0, 10))
+        need = prony.moments_needed(p.dim, nmax, deg, oversample)
+        yield oracle.sequence(z, need), nmax, oversample
+
+
+class TestFloatSolveOnOneArray:
+    """The float solve on one Hankel array with three SVDs computes
+    bit for bit what the tuple Hankel with four SVDs computed."""
+
+    def test_sequence_solve_is_the_old_path(self):
+        seen = set()
+        for ms, nmax, oversample in _float_cases(21, 150):
+            want = _float_outcome(_old_float_solve, ms, nmax, 1e-8, oversample)
+            got = _float_outcome(prony_polynomial_from_sequence, ms, nmax, 1e-8,
+                                 oversample)
+            assert got == want, (ms, nmax, oversample)
+            seen.add(want if isinstance(want, type) else (ms.density_degree, want[1] != 1))
+        assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
+        assert {(0, True), (1, True), (2, True)} <= seen
+
+    def test_kernel_vector_is_the_old_branch(self):
+        seen = set()
+        for ms, nmax, oversample in _float_cases(22, 90):
+            m = hankel_size(nmax, ms.density_degree, oversample)
+            c = scaled_moment_vector(ms, 2 * m - 2).c
+            h = build_hankel(c, m)
+            for tol in (1e-8, 1e-3):
+                want = _float_outcome(_old_kernel, h.rows, tol, 2, 3.0)
+                got = _float_outcome(minimal_kernel_vector, h, tol, 2, 3.0)
+                assert got == want
+                seen.add(want if isinstance(want, type) else "ok")
+        assert {FullRankHankel, "ok"} <= seen
+
+    def test_three_svds_per_successful_solve(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        solved = 0
+        for ms, nmax, oversample in _float_cases(23, 60):
+            del calls[:]
+            try:
+                prony_polynomial_from_sequence(ms, nmax, 1e-8, oversample)
+            except PolymomError:
+                continue
+            # rank at m and m - 1 from singular values, one full SVD
+            assert calls == [False, False, True]
+            solved += 1
+        assert solved >= 10

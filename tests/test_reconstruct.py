@@ -198,6 +198,61 @@ class TestRootSetMatching:
             assert injected.provenance.retries == plain.provenance.retries + 1
 
 
+def _float_horner_hits(pz, alphas, values, match_tol):
+    """The float candidate test before the array one, kept as the
+    reference: one Horner evaluation of pz per candidate tuple."""
+    scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
+    return [
+        combo for combo in itertools.product(*(range(len(v)) for v in values))
+        if abs(pz.eval(sum(row[k] for row, k in zip(scaled, combo)))) < match_tol
+    ]
+
+
+def _float_poly(roots, scale):
+    """prod (t - r) in float, stored in t / scale as the float solve does."""
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [0.0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r / scale * coeffs[i + 1]
+    return PronyPolynomial(tuple(coeffs[:-1]), scale=scale)
+
+
+class TestFloatCandidateTest:
+    def test_hits_equal_the_horner_reference(self):
+        rng = Random(31)
+        kinds = set()
+        for verts, _, _, z1, zi in _matching_cases(5, 16):
+            d = len(z1)
+            fverts = [tuple(float(x) for x in v) for v in verts]
+            zs = [tuple(map(float, z)) for z in (z1, zi, (1, 2, 3))[:d]]
+            values = [sorted(dot(v, z) for v in fverts) for z in zs]
+            for shift in (0.0, 0.0, 0.0, 0.5):  # 0.5: no candidate is a root
+                alphas = (1.0,) + tuple(rng.randint(1, 49) / rng.randint(1, 31)
+                                        for _ in range(d - 1))
+                z = tuple(sum(a * w[t] for a, w in zip(alphas, zs)) for t in range(d))
+                scale = rng.choice((1, 1, 7.5, 0.25))
+                pz = _float_poly([dot(v, z) + shift for v in fverts], scale)
+                for tol in (1e-6, 1e-2, 1e3):
+                    hits = _tuple_hits(pz, alphas, values, "float", tol)
+                    assert hits == _float_horner_hits(pz, alphas, values, tol)
+                    assert all(type(k) is int for h in hits for k in h)
+                    n = len(verts)
+                    kinds.add((d, scale != 1, "none" if not hits else
+                               "n" if len(hits) == n else "more" if len(hits) > n else "some"))
+        # d = 2 and 3, scale 1 and not: no hit, one per vertex, more
+        assert {(d, s, k) for d in (2, 3) for s in (True, False)
+                for k in ("none", "n", "more")} <= kinds, kinds
+
+    def test_degree_zero_polynomial(self):
+        # a constant 1: every candidate or none, as per-candidate Horner
+        pz = PronyPolynomial(())
+        values = [(0.5, 1.5), (2.0, 3.0)]
+        for tol in (0.5, 2.0):
+            assert _tuple_hits(pz, (1, 2.5), values, "float", tol) == \
+                _float_horner_hits(pz, (1, 2.5), values, tol)
+
+
 def _times(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -366,6 +421,30 @@ class TestReconstruct:
         cfg = RunConfig(mode="float", seed=1, denominator=10007, noise=1e-9)
         vs = reconstruct(oracle, 4, cfg, rng=Random(21))
         assert reconstruction_error(unit_square(), vs) <= 1e-6
+
+    def test_float_cube_retry_storm_is_unchanged(self):
+        # a characterization of the whole float pipeline: the draw
+        # Random(1) solves the float cube after 2,586 failed trials
+        cube = unit_cube()
+        oracle = PolytopeMomentOracle(cube, mode="float")
+        vs = reconstruct(oracle, 8, RunConfig(mode="float", seed=1), Random(1))
+        assert vs.provenance.retries == 2586
+        assert oracle.unique_count == 82586
+        assert reconstruction_error(cube, vs) <= 1e-6
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank_tol", float("nan")), ("rank_tol", 1.5), ("rank_tol", 1.0),
+        ("real_tol", float("inf")), ("match_tol", float("nan")),
+        ("noise", float("nan")), ("noise", float("inf")), ("noise", -1e-9),
+        ("float_oversample", -5),
+    ])
+    def test_meaningless_settings_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            RunConfig(mode="float", **{field: value}).validate()
+        oracle = PolytopeMomentOracle(unit_square(), mode="float")
+        with pytest.raises(InputError, match=field):
+            reconstruct(oracle, 4, RunConfig(mode="float", **{field: value}))
+        assert oracle.unique_count == 0
 
     def test_float_self_check_blocks_wrong_results(self):
         # N=8 boxes sit at the float rank-detection margin: runs either
