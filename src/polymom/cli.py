@@ -1,7 +1,8 @@
 """Command line interface: forward moments, reconstruction, roundtrip
 verification, and the univariate-representation route.
 
-Exit codes: 0 success, 2 bad input, 3 non-generic direction (resample),
+Exit codes: 0 success, 2 bad input or a file that cannot be read or
+written, 3 non-generic direction (resample),
 4 route disagreement, 5 rank instability, 6 matching failure.
 """
 
@@ -288,7 +289,7 @@ def build_parser():
 
 
 _EXIT_CODES = (
-    (InputError, EXIT_BAD_INPUT),
+    ((InputError, OSError), EXIT_BAD_INPUT),  # OSError: an unwritable output file
     (DenominatorVanishes, EXIT_NON_GENERIC),
     (OracleDisagreement, EXIT_DISAGREEMENT),
     (

@@ -348,7 +348,11 @@ def polytope_from_json(doc, mode=EXACT) -> Polytope:
                                   for s in doc["simplices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad polytope document: {exc}") from None
-    return Polytope(dim=d, vertices=vertices, cones=cones, simplices=simplices)
+    p = Polytope(dim=d, vertices=vertices, cones=cones, simplices=simplices)
+    findings = validate_polytope(p)
+    if findings:
+        raise InputError("bad polytope document: " + "; ".join(findings))
+    return p
 
 
 def load_polytope(path, mode=EXACT) -> Polytope:

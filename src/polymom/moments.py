@@ -58,6 +58,7 @@ from .numeric import (
     exact_div,
     extract_diff,
     falling,
+    falling_column,
     index_from_json,
     integerize,
     jet_variables,
@@ -144,16 +145,16 @@ def axial_moments_brion(p: Polytope, z, count: int):
         total = np.zeros(count)
         for row in np.cumprod(powers, axis=1):
             total += row
-        falls = [float(falling(j + d, d)) for j in range(count)]
+        falls = [float(f) for f in falling_column(d, count)]
         return _descale(((-1) ** d * total / falls).tolist(), q)
     sign = (-1) ** d
     powers = [n**d * f for n, f in zip(projs, weights)]
     out = []
-    for j in range(count):
+    for j, fall in enumerate(falling_column(d, count)):
         total = 0
         for t in powers:
             total = total + t
-        out.append(exact_div(sign * total, falling(j + d, d) * den * scale ** (j + d)))
+        out.append(exact_div(sign * total, fall * den * scale ** (j + d)))
         if j + 1 < count:
             powers = [t * n for t, n in zip(powers, projs)]
     return _descale(out, q)
@@ -237,9 +238,9 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
                 out[j] = out[j] + c0 * m
             continue
         contractions = _vertex_contractions(p, coords, [piece], s)[0]
-        for j in range(count):
+        for j, fall in enumerate(falling_column(d + s, count)):
             val = _contract(contractions, j + d + s)
-            out[j] = out[j] + exact_div(sign * val, falling(j + d + s, d + s))
+            out[j] = out[j] + exact_div(sign * val, fall)
     return _descale(out, q)
 
 
@@ -331,8 +332,8 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
             weight = coef * mfactorial(exp)
             for j in range(count):
                 acc[j] = acc[j] + weight * falling(j + d + top, top - s) * h[j]
-        for j in range(count):
-            divisor = den * scale**j * falling(j + d + top, d + top)
+        for j, fall in enumerate(falling_column(d + top, count)):
+            divisor = den * scale**j * fall
             out[j] = out[j] + exact_div(acc[j], divisor)
     out = _descale(out, q)
     if p.vertices and isinstance(p.vertices[0][0], float):
@@ -421,11 +422,8 @@ def scaled_moment_vector(ms: MomentSequence, k: int) -> ScaledMomentVector:
         )
     sign = (-1) ** ms.dim
     c = [0] * min(lead, k + 1)
-    factor = falling(lead, lead)
-    for j in range(max(0, needed)):
-        if j:  # falling(j + lead, lead), one step from the last
-            factor = factor * (j + lead) // j
-        c.append(sign * factor * ms.moments[j])
+    for factor, m in zip(falling_column(lead, max(0, needed)), ms.moments):
+        c.append(sign * factor * m)
     return ScaledMomentVector(c=tuple(c), dim=ms.dim, density_degree=ms.density_degree)
 
 

@@ -83,6 +83,15 @@ def falling(n: int, k: int) -> int:
     return out
 
 
+def falling_column(lead: int, count: int) -> list:
+    """falling(j + lead, lead) for j = 0 .. count-1, each one step from the
+    last: it grows by (j + lead) / j, an exact integer division."""
+    out = [falling(lead, lead)][:count]
+    for j in range(1, count):
+        out.append(out[-1] * (j + lead) // j)
+    return out
+
+
 def integerize(values):
     """(n, q) with values = n / q for the lcm q of their denominators, by
     integer operations. Unless every value is an int or a Fraction (say a

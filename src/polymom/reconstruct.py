@@ -1,12 +1,16 @@
 """Full vertex reconstruction from axial moments.
 
 The pipeline recovers projections of the vertex set in d independent
-directions, matches projections across directions through combined
-directions z_1 + beta z_i (a pair (j, k) matches when x_j + beta y_k is
-a root of the combined Prony polynomial: in exact mode an exact root, so one
-root search replaces N^2 evaluations), and solves a d x d linear system
-per vertex. A frugal variant uses only d+1 directions at the price of
-enumerating all candidate index tuples.
+directions, matches projections across directions, and solves a d x d
+linear system per vertex. Every variant matches the same way: for mixing
+coefficients alpha it accepts the index tuples whose candidate sums
+sum_i alpha_i x_i[k_i] are roots of the Prony polynomial of the combined
+direction sum_i alpha_i z_i (``match_projections``; in exact mode one root
+search replaces the per-candidate evaluations), and tries coefficients in
+turn until one matching is unambiguous (``choose_beta``). The main pipeline
+matches each z_i with z_1 through z_1 + beta z_i; a frugal variant matches
+all d at once from d+1 directions, at the price of enumerating all
+candidate index tuples.
 
 Moment consumption is audited through the oracle: with no retries the main
 pipeline draws exactly (2d-1)(2N+1-d) distinct measurements for uniform
@@ -86,29 +90,27 @@ def sequence_from_oracle(oracle, coords, n_for_hankel: int,
     return oracle.sequence(coords, need)
 
 
-def match_projections(x1, xi, beta, pz: PronyPolynomial, mode=EXACT,
-                      match_tol=1e-6, alpha=1):
-    """Pair each x_j in x1 with the unique y_k in xi such that
-    alpha x_j + beta y_k is a root of p_z (float mode: |p_z| < match_tol
-    there). Raises AmbiguousMatching unless the pairing is a bijection, and
-    in exact mode when p_z has an irrational root."""
-    n = len(x1)
-    if len(xi) != n:
+def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT,
+                      match_tol=1e-6):
+    """The index tuples (k_1, ..., k_d), in product order, whose candidate
+    sums sum_i alpha_i values_i[k_i] are roots of p_z (float mode: |p_z| <
+    match_tol there). Raises AmbiguousMatching unless there are exactly n
+    of them and every column is a permutation of 0..n-1 (for two
+    directions: the pairing is a bijection), and in exact mode when p_z
+    has an irrational root."""
+    n = len(values[0])
+    if any(len(v) != n for v in values):
         raise InputError("projection sets of unequal size")
-    hits = _tuple_hits(pz, (alpha, beta), (x1, xi), mode, match_tol)
+    hits = _tuple_hits(pz, alphas, values, mode, match_tol)
     if hits is None:
-        raise AmbiguousMatching(f"combined polynomial has an irrational root with beta={beta}")
-    pairing = []
-    for j, xj in enumerate(x1):
-        ks = [k for i, k in hits if i == j]
-        if len(ks) != 1:
-            raise AmbiguousMatching(
-                f"projection {xj} matched {len(ks)} candidates with beta={beta}"
-            )
-        pairing.append(ks[0])
-    if len(set(pairing)) != n:
-        raise AmbiguousMatching(f"pairing is not a bijection with beta={beta}")
-    return tuple(pairing)
+        raise AmbiguousMatching(
+            f"combined polynomial has an irrational root with alphas {alphas}"
+        )
+    if len(hits) != n or any(sorted(col) != list(range(n)) for col in zip(*hits)):
+        raise AmbiguousMatching(
+            f"{len(hits)} candidate tuples are no matching with alphas {alphas}"
+        )
+    return hits
 
 
 def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6):
@@ -139,40 +141,42 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6)
     ]
 
 
-def _beta_sequence(mode, rng):
+def _alpha_sequence(dim, mode, rng):
+    """Mixing coefficients (1, q, q^2, ...): q = 1, 2, 3, ... in exact mode,
+    random rationals in float mode."""
     if mode == EXACT:
-        beta = 0
+        q = 0
         while True:
-            beta += 1
-            yield Fraction(beta)
+            q += 1
+            yield tuple(Fraction(q) ** k for k in range(dim))
     else:
         while True:
-            yield rng.randint(1, 499) / rng.randint(1, 31)
+            yield tuple(
+                1.0 if k == 0 else rng.randint(1, 499) / rng.randint(1, 31)
+                for k in range(dim)
+            )
 
 
-def choose_beta(x1, xi, poly_for_beta, max_trials, mode=EXACT, rng=None,
+def choose_beta(values, poly_for, max_trials, mode=EXACT, rng=None,
                 match_tol=1e-6):
-    """First beta from the trial sequence that yields an unambiguous
-    matching (alpha is fixed to 1). Combined directions that fail rank
-    detection count as failed trials. Returns (beta, pairing, failed_trials).
+    """The first mixing coefficients from ``_alpha_sequence`` whose
+    combined polynomial ``poly_for(alphas)`` matches the projection sets
+    ``values`` unambiguously. Combined directions that fail rank detection
+    count as failed trials. Returns (alphas, matched tuples, failed_trials).
     """
     if rng is None:
         rng = Random(0)
     failures = 0
     trials = 0
-    for beta in _beta_sequence(mode, rng):
+    # the sequence draws one coefficient past the budget before it stops
+    for alphas in _alpha_sequence(len(values), mode, rng):
         if trials >= max_trials:
             break
         trials += 1
         try:
-            pz = poly_for_beta(beta)
-        except (NonGenericDirection, DenominatorVanishes):
-            failures += 1
-            continue
-        try:
-            pairing = match_projections(x1, xi, beta, pz, mode, match_tol)
-            return beta, pairing, failures
-        except AmbiguousMatching:
+            hits = match_projections(values, alphas, poly_for(alphas), mode, match_tol)
+            return alphas, hits, failures
+        except (NonGenericDirection, DenominatorVanishes, AmbiguousMatching):
             failures += 1
     raise MatchingFailure(
         f"no unambiguous matching in {trials} trials; base directions suspect"
@@ -329,6 +333,22 @@ class _Pipeline:
         self.prov.ranks = [b[1].rank for b in base]
         return base
 
+    def match(self, values, poly_for):
+        """``choose_beta`` on this run's settings, as (alphas, matched
+        tuples). Failed trials count as retries, and an exhausted budget
+        as all of its trials."""
+        cfg = self.config
+        max_trials = cfg.beta_trials or len(values[0]) ** 3 + 1
+        try:
+            alphas, hits, failures = choose_beta(
+                values, poly_for, max_trials, cfg.mode, self.rng, cfg.match_tol
+            )
+        except MatchingFailure:
+            self.prov.retries += max_trials
+            raise
+        self.prov.retries += failures
+        return alphas, hits
+
     def assemble(self, rows, values, combos):
         """One vertex per index tuple: entry i of a tuple picks the vertex's
         projection onto rows[i] from values[i]."""
@@ -468,68 +488,33 @@ def reconstruct(
     z1, proj1 = base[0]
     n = proj1.n
     x1 = proj1.values
-    max_trials = pipe.config.beta_trials or n**3 + 1
 
-    matched = []
+    rows, values, pairings = [z1], [x1], []
     for i in range(1, d):
-        entry = base[i]
+        zi, proj_i = base[i]
         for _ in range(pipe.config.direction_retries):
-            zi, proj_i = entry
-
-            def poly_for_beta(beta, _zi=zi):
-                coords = tuple(a + beta * b for a, b in zip(z1, _zi))
-                return pipe.poly_at(coords, n)
+            def poly_for(alphas, _zi=zi):
+                return pipe.poly_at(tuple(a + alphas[1] * b for a, b in zip(z1, _zi)), n)
 
             try:
-                beta, pairing, failures = choose_beta(
-                    x1,
-                    proj_i.values,
-                    poly_for_beta,
-                    max_trials,
-                    pipe.config.mode,
-                    pipe.rng,
-                    pipe.config.match_tol,
-                )
-                prov.retries += failures
-                matched.append((zi, proj_i.values, beta, pairing))
+                alphas, hits = pipe.match([x1, proj_i.values], poly_for)
                 break
             except MatchingFailure:
-                prov.retries += max_trials
-                entry = pipe.acquire_direction(
-                    [z1] + [m[0] for m in matched], n
-                )
+                zi, proj_i = pipe.acquire_direction(rows, n)
         else:
-            raise MatchingFailure(
-                f"matching failed for direction {i} after retries"
-            )
+            raise MatchingFailure(f"matching failed for direction {i} after retries")
+        rows.append(zi)
+        values.append(proj_i.values)
+        prov.betas.append(alphas[1])
+        pairings.append([k for _, k in hits])
 
-    prov.betas = [m[2] for m in matched]
     # a matching retry may have replaced a base direction
-    prov.directions = [z1] + [m[0] for m in matched]
-    verts = pipe.assemble(
-        prov.directions,
-        [x1] + [m[1] for m in matched],
-        zip(range(n), *(m[3] for m in matched)),
-    )
+    prov.directions = rows
+    verts = pipe.assemble(rows, values, zip(range(n), *pairings))
     result = pipe.finish(verts)
     if self_check:
         _self_check(pipe, verts, self_check_simplices)
     return result
-
-
-def _alpha_sequence(dim, mode, rng):
-    """Coefficient tuples (1, q, q^2, ...) for the d+1-direction variant."""
-    if mode == EXACT:
-        q = 0
-        while True:
-            q += 1
-            yield tuple(Fraction(q) ** k for k in range(dim))
-    else:
-        while True:
-            yield tuple(
-                1.0 if k == 0 else rng.randint(1, 499) / rng.randint(1, 31)
-                for k in range(dim)
-            )
 
 
 FRUGAL_GUARD = 10**6
@@ -559,34 +544,15 @@ def match_frugal_d_plus_1(
         )
 
     values = [b[1].values for b in base]
-    max_trials = pipe.config.beta_trials or n**3 + 1
 
-    accepted = None
-    trials = 0
-    for alphas in _alpha_sequence(d, pipe.config.mode, pipe.rng):
-        if trials >= max_trials:
-            break
-        trials += 1
-        coords = tuple(sum(a * z[t] for a, z in zip(alphas, prov.directions)) for t in range(d))
-        try:
-            pz = pipe.poly_at(coords, n)
-        except (NonGenericDirection, DenominatorVanishes):
-            prov.retries += 1
-            continue
-        hits = _tuple_hits(pz, alphas, values, pipe.config.mode, pipe.config.match_tol)
-        if hits is not None and len(hits) == n and all(
-            sorted(h[j] for h in hits) == list(range(n)) for j in range(d)
-        ):
-            accepted = hits
-            prov.betas = [list(alphas)]
-            break
-        prov.retries += 1
-    if accepted is None:
-        raise MatchingFailure(
-            f"frugal matching found no consistent tuple set in {trials} trials"
-        )
+    def poly_for(alphas):
+        return pipe.poly_at(tuple(
+            sum(a * z[t] for a, z in zip(alphas, prov.directions)) for t in range(d)
+        ), n)
 
-    return pipe.finish(pipe.assemble(prov.directions, values, accepted))
+    alphas, hits = pipe.match(values, poly_for)
+    prov.betas = [list(alphas)]
+    return pipe.finish(pipe.assemble(prov.directions, values, hits))
 
 
 def _derive_beta(z, z1, zi, mode):
@@ -651,28 +617,25 @@ def reconstruct_from_sequences(
 
     pairings = []
     for i in range(1, d):
-        pairing = None
         last_error = None
         for coords in combined:
             beta = _derive_beta(coords, base[0], base[i], mode)
             if beta is None:
                 continue
             try:
-                pz = pipe.poly_at(coords, n)
-                pairing = match_projections(
-                    x1, projs[i].values, beta, pz, mode, pipe.config.match_tol
-                )
-                prov.betas.append(beta)
+                hits = match_projections([x1, projs[i].values], (1, beta),
+                                         pipe.poly_at(coords, n), mode, pipe.config.match_tol)
                 break
             except (NonGenericDirection, AmbiguousMatching, DenominatorVanishes) as exc:
                 last_error = exc
                 prov.retries += 1
-        if pairing is None:
+        else:
             raise MatchingFailure(
                 f"no supplied combined direction matches base direction {i}"
                 + (f"; last error: {last_error}" if last_error else "")
             )
-        pairings.append(pairing)
+        prov.betas.append(beta)
+        pairings.append([k for _, k in hits])
 
     return pipe.finish(pipe.assemble(
         base, [p.values for p in projs], zip(range(n), *pairings)

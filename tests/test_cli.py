@@ -37,6 +37,9 @@ TRIANGLE_DOC = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 MOMENT_DOC = {"dim": 2, "direction": ["1", "2"], "mode": "exact",
               "moments": ["1/2", "1/2", "7/12", "3/4", "31/30", "3/2"]}
 MOMENTS_ARGS = ["--direction", "1,2", "--count", "4"]
+TRIANGLE_CONES = [{"vertex": 0, "edges": [[1, 0], [0, 1]]},
+                  {"vertex": 1, "edges": [[-1, 0], [-1, 1]]},
+                  {"vertex": 2, "edges": [[0, -1], [1, -1]]}]
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -45,10 +48,17 @@ MOMENTS_ARGS = ["--direction", "1,2", "--count", "4"]
     ("moments", {**TRIANGLE_DOC, "cones": [{"vertex": 0, "edges": [[1, 0]]}]}),
     ("moments", {**TRIANGLE_DOC, "dim": "two"}),
     ("moments", {**TRIANGLE_DOC, "simplices": [[0, 1, "x"]]}),
+    ("moments", {**TRIANGLE_DOC, "simplices": [[0, 1, 3]]}),
+    ("moments", {**TRIANGLE_DOC, "cones": [{**TRIANGLE_CONES[0], "vertex": 3},
+                                           *TRIANGLE_CONES[1:]]}),
+    # without validation this one printed mu_0 = -1/2 and exited 0
+    ("moments", {**TRIANGLE_DOC, "cones": TRIANGLE_CONES[:2]}),
     ("reconstruct", {**MOMENT_DOC, "density_degree": "x"}),
     ("reconstruct", [MOMENT_DOC]),
 ], ids=["vertex-length", "cone-without-edges", "cone-edge-count", "dim-not-int",
-        "simplex-index-not-int", "density-degree-not-int", "not-an-object"])
+        "simplex-index-not-int", "simplex-index-out-of-range",
+        "cone-vertex-out-of-range", "cone-missing", "density-degree-not-int",
+        "not-an-object"])
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -61,9 +71,6 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     assert err.startswith("polymom:") and "Traceback" not in err
 
 
-TRIANGLE_CONES = [{"vertex": 0, "edges": [[1, 0], [0, 1]]},
-                  {"vertex": 1, "edges": [[-1, 0], [-1, 1]]},
-                  {"vertex": 2, "edges": [[0, -1], [1, -1]]}]
 # the segment [0, 1]: mu_j = 1/(j+1)
 SEGMENT_MOMENT_DOC = {"dim": 1, "direction": ["1"], "mode": "exact",
                       "moments": ["1", "1/2", "1/3", "1/4", "1/5"]}
@@ -145,6 +152,23 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", "{p}", *MOMENTS_ARGS, "--out", "{bad}"],
+    ["moments", "{p}", *MOMENTS_ARGS, "--csv", "{bad}"],
+    ["reconstruct", "--oracle-polytope", "{p}", "--nmax", "3", "--out", "{bad}"],
+    ["reconstruct", "--oracle-polytope", "{p}", "--nmax", "3", "--diagnostics", "{bad}"],
+    ["roundtrip", "{p}", "--nmax", "3", "--out", "{bad}"],
+    ["univar", "--oracle-polytope", "{p}", "--nmax", "3", "--diagnostics", "{bad}"],
+], ids=["moments-out", "moments-csv", "reconstruct-out", "reconstruct-diagnostics",
+        "roundtrip-out", "univar-diagnostics"])
+def test_unwritable_output_exit_2(triangle_file, tmp_path, capsys, args):
+    bad = str(tmp_path / "no-such-dir" / "out.json")
+    code = main([a.format(p=triangle_file, bad=bad) for a in args] + ["--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and "no-such-dir" in err and "Traceback" not in err
 
 
 class TestMoments:

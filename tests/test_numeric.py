@@ -14,6 +14,8 @@ from polymom.numeric import (
     MultiPoly,
     apply_diff_operator,
     exact_div,
+    falling,
+    falling_column,
     jet_variables,
     parse_rational,
     poly_parse,
@@ -24,6 +26,13 @@ from polymom.numeric import (
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )
+
+
+def test_falling_column_equals_falling_for_every_j():
+    for lead in range(7):
+        for count in range(9):
+            assert falling_column(lead, count) == [falling(j + lead, lead)
+                                                   for j in range(count)]
 
 
 class TestScalars:

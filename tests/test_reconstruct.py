@@ -55,30 +55,35 @@ def _poly_from_roots(roots):
     return PronyPolynomial(tuple(coeffs[:-1]))
 
 
+def _pairing(x1, xi, beta, pz):
+    """match_projections on z_1 + beta z_i, as the pairing j -> k_j."""
+    hits = match_projections([x1, xi], (1, beta), pz)
+    assert [j for j, _ in hits] == list(range(len(x1)))
+    return tuple(k for _, k in hits)
+
+
 class TestMatchProjections:
     # triangle with z1=(1,2), z2=(2,1): X1 = X2 = {0,1,2} as sorted values
 
     def test_beta_3_unique(self):
         pz = _poly_from_roots([F(0), F(7), F(5)])
-        pairing = match_projections(
-            (F(0), F(1), F(2)), (F(0), F(1), F(2)), F(3), pz
-        )
+        pairing = _pairing((F(0), F(1), F(2)), (F(0), F(1), F(2)), F(3), pz)
         assert pairing == (0, 2, 1)
 
     def test_beta_2_ambiguous(self):
         # fake pair 0 + 2*2 = 4 collides with true 2 + 2*1 = 4
         pz = _poly_from_roots([F(0), F(5), F(4)])
         with pytest.raises(AmbiguousMatching):
-            match_projections((F(0), F(1), F(2)), (F(0), F(1), F(2)), F(2), pz)
+            _pairing((F(0), F(1), F(2)), (F(0), F(1), F(2)), F(2), pz)
 
     def test_single_vertex_trivial(self):
         pz = _poly_from_roots([F(5)])
-        assert match_projections((F(2),), (F(3),), F(1), pz) == (0,)
+        assert _pairing((F(2),), (F(3),), F(1), pz) == (0,)
 
     def test_size_mismatch(self):
         pz = _poly_from_roots([F(0)])
         with pytest.raises(InputError):
-            match_projections((F(0), F(1)), (F(0),), F(1), pz)
+            _pairing((F(0), F(1)), (F(0),), F(1), pz)
 
 
 def _horner_match(x1, xi, beta, pz):
@@ -140,7 +145,7 @@ class TestRootSetMatching:
                 z = tuple(a + beta * b for a, b in zip(z1, zi))
                 pz = _combined_poly(verts, z)
                 want = _outcome(_horner_match, x1, xi, beta, pz)
-                assert _outcome(match_projections, x1, xi, beta, pz) == want
+                assert _outcome(_pairing, x1, xi, beta, pz) == want
                 outcomes.add(want is AmbiguousMatching)
                 collided |= len({dot(v, z) for v in verts}) < len(verts)
         assert outcomes == {True, False} and collided
@@ -167,7 +172,7 @@ class TestRootSetMatching:
         pz = _poly_from_roots([F(0), F(3)])
         pz = PronyPolynomial(tuple(_times(pz.full_coeffs(), [F(-2), F(0), F(1)])[:-1]))
         with pytest.raises(AmbiguousMatching, match="irrational"):
-            match_projections((F(0), F(1)), (F(0), F(1)), F(3), pz)
+            _pairing((F(0), F(1)), (F(0), F(1)), F(3), pz)
         assert _tuple_hits(pz, (F(1), F(3)), [(F(0), F(1)), (F(0), F(1))]) is None
 
     def test_irrational_root_adds_one_retry(self, monkeypatch):
@@ -283,20 +288,22 @@ class TestChooseBeta:
     def test_triangle_beta_sequence(self):
         # beta=1 gives a collided combined direction, beta=2 is ambiguous,
         # beta=3 succeeds
-        beta, pairing, failures = choose_beta(
-            (F(0), F(1), F(2)), (F(0), F(1), F(2)), self._triangle_solver(),
+        solver = self._triangle_solver()
+        alphas, hits, failures = choose_beta(
+            [(F(0), F(1), F(2)), (F(0), F(1), F(2))], lambda a: solver(a[1]),
             max_trials=28,
         )
-        assert beta == 3
+        beta, pairing = alphas[1], tuple(k for _, k in hits)
+        assert alphas == (1, 3) and beta == 3
         assert failures == 2
         assert pairing == (0, 2, 1)
 
     def test_single_vertex_immediate(self):
         pz = _poly_from_roots([F(0)])
-        beta, pairing, failures = choose_beta(
-            (F(0),), (F(0),), lambda b: pz, max_trials=2
+        alphas, hits, failures = choose_beta(
+            [(F(0),), (F(0),)], lambda a: pz, max_trials=2
         )
-        assert beta == 1 and pairing == (0,) and failures == 0
+        assert alphas == (1, 1) and hits == [(0, 0)] and failures == 0
 
     def test_square_finds_beta_3(self):
         # recorded during implementation: z1=(1,2), z2=(2,1) on the unit
@@ -316,17 +323,30 @@ class TestChooseBeta:
                 raise RankInstability("collision")
             return pz
 
-        beta, pairing, failures = choose_beta(
-            (F(0), F(1), F(2), F(3)), (F(0), F(1), F(2), F(3)), solver,
-            max_trials=4**3 + 1,
+        alphas, hits, failures = choose_beta(
+            [(F(0), F(1), F(2), F(3)), (F(0), F(1), F(2), F(3))],
+            lambda a: solver(a[1]), max_trials=4**3 + 1,
         )
-        assert beta == 3
-        assert pairing == (0, 2, 1, 3)
+        assert alphas[1] == 3
+        assert hits == [(0, 0), (1, 2), (2, 1), (3, 3)]
 
     def test_exhaustion(self):
         pz = _poly_from_roots([F(100), F(200)])  # never matches anything
         with pytest.raises(MatchingFailure):
-            choose_beta((F(0), F(1)), (F(0), F(1)), lambda b: pz, max_trials=9)
+            choose_beta([(F(0), F(1)), (F(0), F(1))], lambda a: pz, max_trials=9)
+
+    @pytest.mark.parametrize("max_trials", [1, 3, 9])
+    def test_float_exhaustion_draws_one_coefficient_past_the_budget(self, max_trials):
+        # the budget check follows the draw, so k trials leave the generator
+        # k + 1 coefficients on; the float cube's retry storm depends on it
+        pz = _float_poly([100.0, 200.0], 1)
+        rng = Random(7)
+        with pytest.raises(MatchingFailure):
+            choose_beta([(0.0, 1.0), (0.0, 1.0)], lambda a: pz, max_trials, "float", rng)
+        reference = Random(7)
+        for _ in range(max_trials + 1):
+            reference.randint(1, 499) / reference.randint(1, 31)
+        assert rng.getstate() == reference.getstate()
 
 
 class TestAssemble:
