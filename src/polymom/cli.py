@@ -216,7 +216,7 @@ def _add_common(sub, with_noise=True):
     sub.add_argument("--match-tol", dest="match_tol", type=float, default=1e-6)
     sub.add_argument(
         "--denominator", type=int, default=DEFAULT_DENOMINATOR,
-        help="prime denominator r for sampled rational directions",
+        help="prime r for sampled directions z in {0, 1/r, ..., (r-1)/r}^d (exact mode: r z)",
     )
     if with_noise:
         sub.add_argument("--noise", type=float, default=0.0,

@@ -10,9 +10,11 @@ closed form:
   non-simple polytopes by accumulating D-tilde over a triangulation. For a
   piece of degree s the jet of <v,z+h> is <v,z> + L_v(h), so the order-s
   jet of its k-th power has s+1 binomial terms; the contractions
-  [rho_s(d/dz) D_v L_v^i](z), i <= s, are taken once per vertex and every
-  moment index is then a scalar sum (Baldoni, Berline, De Loera, Koeppe &
-  Vergne, Math. Comp. 2011).
+  [rho_s(d/dz) D_v L_v^i](z), i <= s, are taken once per vertex in closed
+  form (the Taylor parts of a cone weight are complete homogeneous
+  polynomials in <w_k,h>/<w_k,z>), on integers for exact data, and every
+  moment index is then one integer sum over one divisor (Baldoni, Berline,
+  De Loera, Koeppe & Vergne, Math. Comp. 2011).
 * ``direct``: simplex-by-simplex integration through barycentric
   coordinates. With the density written as sum_a r_a lambda^a and
   c_i = <v_i,z>, Dirichlet's formula gives
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, lcm
+from math import comb, factorial, inf, lcm, prod
 from random import Random
 
 import numpy as np
@@ -56,12 +58,10 @@ from .numeric import (
     Jet,
     MultiPoly,
     exact_div,
-    extract_diff,
     falling,
     falling_column,
     index_from_json,
     integerize,
-    jet_variables,
     mfactorial,
     scalar_from_json,
     scalar_to_json,
@@ -73,16 +73,14 @@ def _direction_coords(z):
     return z.coords if isinstance(z, Direction) else tuple(z)
 
 
-def _edge_product(cone, edges, z):
-    """prod_k <edges_k, z> for one cone of the table; raises, naming the
-    cone's own edge, when a factor vanishes."""
-    denom = None
-    for w, e in zip(cone.edges, edges):
-        s = dot(e, z)
+def _edge_values(cone, edges, z):
+    """<edges_k, z> for one cone of the table; raises, naming the cone's
+    own edge, when one vanishes."""
+    values = [dot(e, z) for e in edges]
+    for w, s in zip(cone.edges, values):
         if (s.value() if isinstance(s, Jet) else s) == 0:
             raise DenominatorVanishes(cone.vertex, tuple(w))
-        denom = s if denom is None else denom * s
-    return denom
+    return values
 
 
 def vertex_weight_terms(p: Polytope, z):
@@ -94,7 +92,7 @@ def vertex_weight_terms(p: Polytope, z):
     """
     coords = _direction_coords(z)
     scale, vertices, cones = p.cone_table
-    terms = [(c.vertex, det / _edge_product(c, edges, coords)) for c, edges, det in cones]
+    terms = [(c.vertex, det / prod(_edge_values(c, edges, coords))) for c, edges, det in cones]
     if p.cones is None:
         weights = {}
         for v, w in terms:
@@ -105,59 +103,26 @@ def vertex_weight_terms(p: Polytope, z):
     return [(dot(vertices[v], coords), w) for v, w in terms]
 
 
-def _descale(moments, q):
-    """Undo the clearing of a rational direction z to the integer q z:
-    mu_j is homogeneous of degree j in z, so mu_j(z) = mu_j(q z) / q^j."""
-    if q == 1:
-        return moments
-    acc = 1
-    out = []
-    for j, m in enumerate(moments):
-        out.append(exact_div(m, acc) if j else m)
-        acc *= q
-    return out
-
-
 def axial_moments_brion(p: Polytope, z, count: int):
-    """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum,
-    on the integers of ``p.cone_table``: with <v,z> = n_v / scale and
-    D-tilde_v = f_v / den over one den,
-    mu_j = (-1)^d sum_v n_v^(j+d) f_v / (falling(j+d, d) den scale^(j+d)).
-    Float data keeps scale = den = 1 and runs the same products, vertex
+    """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum:
+    exact data runs the density sum ``_brion_sum`` with the one piece 1 on
+    the integers of ``p.cone_table``. Float data runs the products, vertex
     sums and divisions on one vertex x moment array."""
     d = p.dim
     coords, q = integerize(_direction_coords(z))
-    scale, vertices, cones = p.cone_table
-    if scale is not None and all(isinstance(x, int) for x in coords):
-        parts = [(c.vertex, det.numerator, det.denominator * _edge_product(c, edges, coords))
-                 for c, edges, det in cones]
-        den = lcm(*(b for _, _, b in parts))
-        weights = {}
-        for v, a, b in parts:
-            weights[v] = weights.get(v, 0) + a * (den // b)
-        projs = [dot(vertices[v], coords) for v in weights]
-        weights = list(weights.values())
-    else:  # row v: n_v^d f_v, then n_v; cumprod multiplies in that order
-        terms = vertex_weight_terms(p, coords)
-        powers = np.empty((len(terms), count))
-        for row, (n, f) in zip(powers, terms):
-            row[:1], row[1:] = n**d * f, n
-        total = np.zeros(count)
-        for row in np.cumprod(powers, axis=1):
-            total += row
-        falls = [float(f) for f in falling_column(d, count)]
-        return _descale(((-1) ** d * total / falls).tolist(), q)
-    sign = (-1) ** d
-    powers = [n**d * f for n, f in zip(projs, weights)]
-    out = []
-    for j, fall in enumerate(falling_column(d, count)):
-        total = 0
-        for t in powers:
-            total = total + t
-        out.append(exact_div(sign * total, fall * den * scale ** (j + d)))
-        if j + 1 < count:
-            powers = [t * n for t, n in zip(powers, projs)]
-    return _descale(out, q)
+    if p.cone_table[0] is not None and all(isinstance(x, int) for x in coords):
+        return _brion_sum(p, coords, q, count, [MultiPoly.constant(d, 1)])
+    # row v: n_v^d f_v, then n_v; cumprod multiplies in that order
+    terms = vertex_weight_terms(p, coords)
+    powers = np.empty((len(terms), count))
+    for row, (n, f) in zip(powers, terms):
+        row[:1], row[1:] = n**d * f, n
+    total = np.zeros(count)
+    for row in np.cumprod(powers, axis=1):
+        total += row
+    falls = [float(f) for f in falling_column(d, count)]
+    out = ((-1) ** d * total / falls).tolist()
+    return out if q == 1 else [m / q**j for j, m in enumerate(out)]  # mu_j(q z) / q^j
 
 
 def axial_moment_brion(p: Polytope, z, j: int):
@@ -165,47 +130,137 @@ def axial_moment_brion(p: Polytope, z, j: int):
     return axial_moments_brion(p, z, j + 1)[j]
 
 
-def _vertex_contractions(p: Polytope, coords, pieces, s: int):
-    """The per-vertex data of [piece(d/dz) sum_v <v,z>^k W_v(z)](z) for
-    homogeneous pieces of one degree s >= 1, for every k at once.
+def _edge_series(a, edges, top):
+    """P_t = (prod a)^t h_t(l_1/a_1, ..., l_d/a_d) for t = 0..top, with
+    l_k(h) = <edges_k, h> and h_t the complete homogeneous symmetric
+    polynomial, as polynomials in h whose coefficient of h^m is times m!,
+    so that sigma(d/dh) P_t = sum_m sigma_m P_t[m] for sigma of degree t.
+    Integer a and edges give integers, by the recursion over k
+    P_{k,t} = a_k^t P_{k-1,t} + (a_1 ... a_{k-1}) l_k P_{k,t-1}."""
+    series = [{(0,) * len(a): 1}] + [{} for _ in range(top)]
+    lead = 1
+    for ak, w in zip(a, edges):
+        grown = series[:1]
+        for t in range(1, top + 1):
+            poly = {m: ak**t * c for m, c in series[t].items()}
+            for m, c in grown[t - 1].items():
+                for j, x in enumerate(w):
+                    if x:
+                        key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        poly[key] = poly.get(key, 0) + lead * x * c
+            grown.append(poly)
+        series = grown
+        lead *= ak
+    return series[:1] + [{m: c * mfactorial(m) for m, c in poly.items()} for poly in series[1:]]
 
-    The jet of <v, z+h> is <v,z> + L_v(h) with L_v linear in h, so its k-th
-    power truncated at order s has s+1 binomial terms:
-    [piece(d/dz) <v,z>^k W_v(z)](z) = sum_i C(k,i) <v,z>^(k-i) e_{v,i}
-    with e_{v,i} = [piece(d/dz) W_v L_v^i](z). The jets W_v L_v^i are built
-    once and contracted with every piece. Returns one (den, scale, rows) per
-    piece with one row (n_v, [f_{v,0} .. f_{v,s}]) per vertex, denominators
-    cleared so that ``_contract`` runs over integers: <v,z> = n_v / scale
-    and e_{v,i} = f_{v,i} / (den * scale^i).
-    """
-    values, jets = [], []
-    for proj, weight in vertex_weight_terms(p, jet_variables(coords, s)):
-        value = proj.value()
-        lin = proj - value
-        row = [weight]
-        for _ in range(s):
-            row.append(row[-1] * lin)
-        values.append(value)
-        jets.append(row)
-    values, scale = integerize(values)
-    width = s + 1
-    out = []
-    for piece in pieces:
-        flat, den = integerize([extract_diff(piece, w) * scale**i
-                                for row in jets for i, w in enumerate(row)])
-        rows = [(n, flat[k * width:(k + 1) * width]) for k, n in enumerate(values)]
-        out.append((den, scale, rows))
+
+def _derivatives(piece: dict, direction, count):
+    """D^i piece for i < count, D the derivative along ``direction``."""
+    out = [piece]
+    while len(out) < count:
+        grown = {}
+        for m, c in piece.items():
+            for j, (e, x) in enumerate(zip(m, direction)):
+                if e and x:
+                    key = m[:j] + (e - 1,) + m[j + 1:]
+                    grown[key] = grown.get(key, 0) + c * e * x
+        piece = grown
+        out.append(piece)
     return out
 
 
-def _contract(contractions, k: int):
-    """[piece(d/dz) sum_v <v,z>^k W_v(z)](z) from ``_vertex_contractions``."""
-    den, scale, rows = contractions
+def _vertex_contractions(p: Polytope, coords, pieces):
+    """The per-vertex data of [piece(d/dz) sum_v <v,z>^k W_v(z)](z) for
+    homogeneous pieces, for every k at once.
+
+    With <v,z+h> = <v,z> + L_v(h), a piece of degree s gives
+    sum_i C(k,i) <v,z>^(k-i) e_{v,i}, e_{v,i} = [piece(d/dz) W_v L_v^i](z).
+    Per cone with edges w_k, a_k = <w_k,z> and |det| delta, the degree-t
+    Taylor part of W_v(z+h) = delta / prod (a_k + <w_k,h>) is
+    delta (-1)^t P_t / (prod a)^(t+1) (``_edge_series``), and the piece
+    applied to P_t L_v^i is D^i piece applied to P_t (D along v), so
+    e_{v,i} = delta (-1)^(s-i) [D^i piece(d/dh) P_(s-i)] / (prod a)^(s+1-i).
+
+    Returns (projs, scale, tables): <v,z> = projs[v] / scale and per piece
+    (den, rows), e_{v,i} = rows[v][i] / (den scale^i). Exact data and an
+    integer z stay on integers, one den per piece; float data keeps den 1.
+    """
+    scale, vertices, cones = p.cone_table
+    exact = scale is not None and all(isinstance(x, int) for x in coords)
+    degrees = [piece.degree for piece in pieces]
+    top = max(degrees, default=0)
+    cone_data = []
+    for c, edges, det in cones:
+        a = _edge_values(c, edges, coords)
+        cone_data.append((c.vertex, det, prod(a), _edge_series(a, edges, top)))
+    order = list(dict.fromkeys(v for v, *_ in cone_data))
+    weights = {}  # per degree s: den and each cone's delta / (prod a)^(s+1) times den
+    for s in set(degrees):
+        if exact:
+            dens = [det.denominator * pa ** (s + 1) for _, det, pa, _ in cone_data]
+            den = lcm(*dens)
+            weights[s] = den, [det.numerator * (den // b) for b, (_, det, *_) in zip(dens, cone_data)]
+        else:
+            weights[s] = 1, [det / pa ** (s + 1) for _, det, pa, _ in cone_data]
+    tables = []
+    for piece, s in zip(pieces, degrees):
+        coefs, piece_den = integerize(list(piece.terms.values()))
+        sigma = dict(zip(piece.terms, coefs))
+        derived = {v: _derivatives(sigma, vertices[v], s + 1) for v in order}
+        den, cone_weights = weights[s]
+        rows = {v: [0] * (s + 1) for v in order}
+        for (v, _, pa, series), weight in zip(cone_data, cone_weights):
+            row = rows[v]
+            for i, deriv in enumerate(derived[v]):
+                poly = series[s - i]
+                pair = sum([x * poly[m] for m, x in deriv.items() if m in poly])
+                if pair:
+                    row[i] = row[i] + (-1) ** (s - i) * weight * pair * pa**i
+        tables.append((den * piece_den, [rows[v] for v in order]))
+    projs = [dot(vertices[v], coords) for v in order]
+    return projs, 1 if scale is None else scale, tables
+
+
+def _contract(projs, scale, table, k: int):
+    """[piece(d/dz) sum_v <v,z>^k W_v(z)](z) from one table of
+    ``_vertex_contractions``."""
+    den, rows = table
     total = 0
-    for value, terms in rows:
+    for value, terms in zip(projs, rows):
         for i in range(min(k, len(terms) - 1) + 1):
             total = total + comb(k, i) * value ** (k - i) * terms[i]
     return exact_div(total, den * scale**k)
+
+
+def _brion_sum(p: Polytope, coords, q: int, count: int, pieces):
+    """mu_0 .. mu_{count-1} along z = coords / q for the density with the
+    homogeneous pieces ``pieces``: rho_s adds j! (-1)^d / (j+d+s)! times
+    [rho_s(d/dz) sum_v <v,z>^(j+d+s) D_v(z)](z), a sum of running powers
+    n_v^(j+d+s-i) f_{v,i} (``_vertex_contractions``). With T the top degree
+    and j!/(j+d+s)! = falling(j+d+T, T-s) / falling(j+d+T, d+T), all pieces
+    share the divisor falling(j+d+T, d+T) den scale^(j+d+T) q^j."""
+    d = p.dim
+    projs, scale, tables = _vertex_contractions(p, coords, pieces)
+    top = max(piece.degree for piece in pieces)
+    den = lcm(*(t[0] for t in tables))
+    groups = []  # (s, i, factor, running values)
+    for piece, (piece_den, rows) in zip(pieces, tables):
+        s = piece.degree
+        factor = den // piece_den * scale ** (top - s)
+        for i in range(s + 1):
+            groups.append((s, i, factor, [n ** (d + s - i) * f[i] for n, f in zip(projs, rows)]))
+    sign = (-1) ** d
+    unit = den * scale ** (d + top)
+    out = []
+    for j, fall in enumerate(falling_column(d + top, count)):
+        total = 0
+        for s, i, factor, run in groups:
+            total = total + falling(j + d + top, top - s) * factor * comb(j + d + s, i) * sum(run)
+        out.append(exact_div(sign * total, fall * unit))
+        if j + 1 < count:
+            unit *= scale * q
+            groups = [(s, i, f, [t * n for t, n in zip(run, projs)]) for s, i, f, run in groups]
+    return out
 
 
 def _density_parts(rho: MultiPoly):
@@ -221,27 +276,16 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
 
     Each homogeneous piece rho_s contributes
     j! (-1)^d / (j+d+s)! * [rho_s(d/dz) sum_v <v,z>^{j+d+s} D_v(z)](z);
-    jets realize the operator at the evaluation point, contracted once per
-    vertex and piece (``_vertex_contractions``) for all j.
+    the operator is applied in closed form, once per vertex and piece
+    (``_vertex_contractions``), and all pieces are summed over one divisor
+    per moment (``_brion_sum``).
     """
-    if rho is None or rho.is_constant():
-        scale = 1 if rho is None else rho.constant_value()
-        return [scale * m for m in axial_moments_brion(p, z, count)]
-    d = p.dim
+    if rho is None:
+        return axial_moments_brion(p, z, count)
+    if rho.is_constant():
+        return [rho.constant_value() * m for m in axial_moments_brion(p, z, count)]
     coords, q = integerize(_direction_coords(z))
-    sign = (-1) ** d
-    out = [0] * count
-    for s, piece in _density_parts(rho).items():
-        if s == 0:
-            c0 = piece.constant_value()
-            for j, m in enumerate(axial_moments_brion(p, coords, count)):
-                out[j] = out[j] + c0 * m
-            continue
-        contractions = _vertex_contractions(p, coords, [piece], s)[0]
-        for j, fall in enumerate(falling_column(d + s, count)):
-            val = _contract(contractions, j + d + s)
-            out[j] = out[j] + exact_div(sign * val, fall)
-    return _descale(out, q)
+    return _brion_sum(p, coords, q, count, list(_density_parts(rho).values()))
 
 
 def axial_moment_brion_density(p: Polytope, z, j: int, rho: MultiPoly | None):
@@ -332,10 +376,9 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
             weight = coef * mfactorial(exp)
             for j in range(count):
                 acc[j] = acc[j] + weight * falling(j + d + top, top - s) * h[j]
+        # mu_j(z) = mu_j(q z) / q^j, folded into the one division
         for j, fall in enumerate(falling_column(d + top, count)):
-            divisor = den * scale**j * fall
-            out[j] = out[j] + exact_div(acc[j], divisor)
-    out = _descale(out, q)
+            out[j] = out[j] + exact_div(acc[j], den * (scale * q) ** j * fall)
     if p.vertices and isinstance(p.vertices[0][0], float):
         return [float(x) for x in out]
     return out
@@ -354,28 +397,13 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
     # every term is homogeneous of degree k - d - deg in z
     hom = k - p.dim - deg
     unscale = Fraction(1, q**hom) if hom >= 0 else Fraction(q ** (-hom))
-    if rho is None or rho.is_constant():
-        scale = 1 if rho is None else rho.constant_value()
-        terms = vertex_weight_terms(p, coords)
-        total = 0
-        for proj, w in terms:
-            total = total + proj**k * w
-        return scale * total * unscale
+    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else _density_parts(rho)
+    # a piece with k - deg + s < 0 has a vanishing falling factorial
+    live = {s: piece for s, piece in parts.items() if k - deg + s >= 0 and falling(k, deg - s)}
+    projs, scale, tables = _vertex_contractions(p, coords, list(live.values()))
     total = 0
-    for s, piece in _density_parts(rho).items():
-        e = k - deg + s
-        if e < 0:
-            continue  # falling factorial vanishes
-        fac = falling(k, deg - s)
-        if fac == 0:
-            continue
-        if s == 0:
-            inner = 0
-            for proj, w in vertex_weight_terms(p, coords):
-                inner = inner + proj**e * w
-            total = total + piece.constant_value() * fac * inner
-        else:
-            total = total + fac * _contract(_vertex_contractions(p, coords, [piece], s)[0], e)
+    for s, table in zip(live, tables):
+        total = total + falling(k, deg - s) * _contract(projs, scale, table, k - deg + s)
     return total * unscale
 
 
@@ -540,26 +568,20 @@ def moments_to_csv(ms: MomentSequence, path):
 _MONOMIAL_SAMPLE_PRIME = 4999
 
 
-def _monomial_moments_at(p: Polytope, coords, q: int, parts, exps):
+def _monomial_moments_at(p: Polytope, coords, parts, exps):
     """mu_m for every m in ``exps`` as the j = 0 moment of density Brion
-    with density x^m rho: each piece x^m rho_s, of degree q+s, adds
-    (-1)^d [x^m rho_s(d/dz) sum_v <v,z>^(q+s+d) D_v(z)](z) / (q+s+d)!."""
+    with density x^m rho: each piece x^m rho_s, of degree e = |m|+s, adds
+    (-1)^d [x^m rho_s(d/dz) sum_v <v,z>^(e+d) D_v(z)](z) / (e+d)!."""
     d = p.dim
-    sign = (-1) ** d
+    shifted = [
+        (m, MultiPoly(d, {tuple(a + b for a, b in zip(m, e)): c for e, c in piece.terms.items()}))
+        for piece in parts.values() for m in exps
+    ]
+    projs, scale, tables = _vertex_contractions(p, coords, [x for _, x in shifted])
     out = dict.fromkeys(exps, Fraction(0))
-    for s, piece in parts.items():
-        if q + s == 0:
-            volume = axial_moments_brion(p, coords, 1)[0]
-            out[exps[0]] = out[exps[0]] + piece.constant_value() * volume
-            continue
-        shifted = [
-            MultiPoly(d, {tuple(a + b for a, b in zip(m, e)): c
-                          for e, c in piece.terms.items()})
-            for m in exps
-        ]
-        k = q + s + d
-        for m, c in zip(exps, _vertex_contractions(p, coords, shifted, q + s)):
-            out[m] = out[m] + exact_div(sign * _contract(c, k), factorial(k))
+    for (m, piece), table in zip(shifted, tables):
+        k = piece.degree + d
+        out[m] = out[m] + exact_div((-1) ** d * _contract(projs, scale, table, k), factorial(k))
     return out
 
 
@@ -587,7 +609,7 @@ def monomial_moments_of_degree(
             ).coords
         try:
             # mu_m does not depend on z, so z may be scaled to integers
-            return _monomial_moments_at(p, integerize(coords)[0], q, parts, exps)
+            return _monomial_moments_at(p, integerize(coords)[0], parts, exps)
         except DenominatorVanishes:
             if z is not None:
                 raise

@@ -11,6 +11,7 @@ operations pure.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -33,12 +34,14 @@ def scalar_from_json(value, mode=EXACT):
 
     In exact mode a JSON float is read as its decimal literal (0.5 -> 1/2),
     never as the underlying binary double, to avoid float contamination.
+    Float mode rejects what is not a finite double (JSON reads 1e400 as inf).
     """
     if mode == FLOAT:
-        if isinstance(value, str):
-            return float(parse_rational(value))
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            x = parse_rational(value) if isinstance(value, str) else value
+            if not abs(x) <= sys.float_info.max:  # False for inf and NaN
+                raise InputError(f"scalar {value!r} is not a finite double")
+            return float(x)
     else:
         if isinstance(value, str):
             return parse_rational(value)
@@ -47,7 +50,7 @@ def scalar_from_json(value, mode=EXACT):
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, float):
-            return Fraction(str(value))
+            return parse_rational(str(value))
     raise InputError(f"bad scalar {value!r} for mode {mode}")
 
 
@@ -109,6 +112,8 @@ def exact_div(value, divisor: int):
     vanished term produces) must stay rational."""
     if isinstance(value, float):
         return value / divisor
+    if isinstance(value, int):
+        return Fraction(value, divisor)
     return value * Fraction(1, divisor)
 
 

@@ -258,48 +258,56 @@ def poly_derivative(coeffs):
     return [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
-def _poly_trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _monic_integer(coeffs):
+    """(g, s) with g(u) = s^n p(u/s) monic over the integers for the monic
+    rational p of degree n: s grows until each c_{n-j} s^j is an integer."""
+    coeffs = [Fraction(c) for c in coeffs]
+    n, s = len(coeffs) - 1, 1
+    for j in range(1, n + 1):
+        s *= (coeffs[n - j] * s**j).denominator
+    return [c.numerator * s ** (n - i) // c.denominator for i, c in enumerate(coeffs)], s
 
 
-def poly_nth_root(coeffs, n: int):
-    """Exact n-th root of a monic rational polynomial, or None.
-
-    Works through the reversed power series: if q = root exists, the
-    series identity A' B = n A B' determines it coefficient by
-    coefficient; the result is verified by re-powering.
-    """
-    c = _poly_trim([Fraction(x) for x in coeffs])
-    if not c or c[-1] != 1:
-        return None
-    deg = len(c) - 1
+def _integer_nth_root(g, n: int):
+    """The monic integer q with q^n = g for the monic integer g, or None.
+    The reversed series of g determines the reversed q term by term through
+    A' B = n A B'. A monic rational root of g is integral (Gauss's lemma),
+    so a remainder means there is none; re-powering certifies the rest."""
+    deg = len(g) - 1
     if deg % n:
         return None
     half = deg // n
-    a = list(reversed(c))  # a[0] = 1: the reversed series
-    b = [Fraction(0)] * (half + 1)
-    b[0] = Fraction(1)
+    a = g[::-1]
+    b = [1] + [0] * half
     for k in range(1, half + 1):
-        s = k * a[k] if k < len(a) else Fraction(0)
+        s = k * a[k]
         for i in range(1, k):
-            ai = a[i] if i < len(a) else Fraction(0)
-            s += i * ai * b[k - i] - n * i * b[i] * a[k - i]
-        b[k] = s / (n * k)
-    root = list(reversed(b))  # monic, degree half
-    # verify
-    check = [Fraction(1)]
+            s += i * a[i] * b[k - i] - n * i * b[i] * a[k - i]
+        b[k], rem = divmod(s, n * k)
+        if rem:
+            return None
+    root = b[::-1]
+    power = [1]
     for _ in range(n):
-        check = _poly_mul(check, root)
-    if _poly_trim(check) != c:
+        power = _poly_mul(power, root)
+    return root if power == g else None
+
+
+def poly_nth_root(coeffs, n: int):
+    """Exact n-th root of a monic rational polynomial, or None: the integer
+    root of g(u) = s^n p(u/s) (``_integer_nth_root``), read back in t = u/s."""
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if not c or c[-1] != 1:
         return None
-    return root
+    g, s = _monic_integer(c)
+    root = _integer_nth_root(g, n)
+    return root and [Fraction(x, s ** (len(root) - 1 - i)) for i, x in enumerate(root)]
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -390,19 +398,14 @@ def roots_exact(p: PronyPolynomial) -> dict:
     """
     if p.scale != 1:
         raise InputError("exact root extraction on a float-scaled polynomial")
-    work = [Fraction(a) for a in p.full_coeffs()]
-    degree = len(work) - 1
+    degree = p.degree
     result = {}
     if degree:
+        # the integer roots u of g(u) = s^n p(u/s) give the roots r = u/s
+        g, s = _monic_integer(p.full_coeffs())
         k = p.multiplicity
-        base = (poly_nth_root(work, k) if k > 1 else None) or work
-        # g(u) = s^n base(u/s) is monic over the integers once s has grown
-        # until each c_{n-j} s^j is an integer; its roots u give r = u/s
-        n, s = len(base) - 1, 1
-        for j in range(1, n + 1):
-            s *= (base[n - j] * s**j).denominator
-        g = [c.numerator * s ** (n - i) // c.denominator for i, c in enumerate(base)]
-        power = degree // n
+        g = (_integer_nth_root(g, k) if k > 1 else None) or g
+        power = degree // (len(g) - 1)
         rest = chain = g
         while len(rest) > 1:
             grown = False

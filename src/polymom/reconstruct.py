@@ -148,7 +148,7 @@ def _alpha_sequence(dim, mode, rng):
         q = 0
         while True:
             q += 1
-            yield tuple(Fraction(q) ** k for k in range(dim))
+            yield tuple(q**k for k in range(dim))
     else:
         while True:
             yield tuple(
@@ -222,11 +222,16 @@ class _Pipeline:
         self.oversample = (
             self.config.float_oversample if self.config.mode == FLOAT else 0
         )
+        # the factor sample_direction scales its draws by
+        self.unit = self.config.denominator if self.config.mode == EXACT else 1
 
     def sample_direction(self):
-        return sample_generic_direction(
+        """A draw z of ``sample_generic_direction``; exact mode returns its
+        integer numerators r z: projections and Prony roots times r."""
+        z = sample_generic_direction(
             self.oracle.dim, self.config.denominator, self.rng, self.config.mode
         ).coords
+        return tuple(int(x * self.unit) for x in z) if self.config.mode == EXACT else z
 
     def projections_at(self, coords, n_for_hankel) -> ProjectionSet:
         ms = sequence_from_oracle(
@@ -265,6 +270,10 @@ class _Pipeline:
                 proj = self.projections_at(coords, self.nmax)
                 return coords, proj
             except _BAD_DIRECTION as exc:
+                # exact Hankel rank is at most (D+1)N along every direction
+                # (collisions only lower it), so a full rank means nmax < N
+                if isinstance(exc, FullRankHankel) and self.config.mode == EXACT:
+                    raise
                 last_error = exc
                 self.prov.retries += 1
         raise RankInstability(

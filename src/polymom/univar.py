@@ -166,19 +166,20 @@ def vertices_univar(
     """Reconstruct the vertex set through univariate representations.
 
     One vertex per root theta of p_a; coordinate j is
-    -g_{a,e_j}(theta) / p_a'(theta). Repeated roots of p_a trigger a
-    resample of the base direction (handled upstream by the Prony
-    multiplicity check).
+    -g_{a,b_j}(theta) / (u p_a'(theta)) with b_j = u e_j scaled like a
+    sampled a = u z (``_Pipeline.unit``), so that samples see u (z + s e_j).
+    Repeated roots of p_a trigger a resample of the base direction (handled
+    upstream by the Prony multiplicity check).
     """
     pipe = _Pipeline(oracle, nmax, config, rng)
     d = oracle.dim
     mult = oracle.density_degree + 1
 
     if base_direction is not None:
-        a = tuple(base_direction)
+        a, unit = tuple(base_direction), 1
         proj = pipe.projections_at(a, nmax)
     else:
-        a, proj = pipe.acquire_first()
+        (a, proj), unit = pipe.acquire_first(), pipe.unit
     n = proj.n
     pa = _squarefree_projection_poly(proj.poly, mult)
     pa_derivative = poly_derivative(pa)
@@ -187,8 +188,8 @@ def vertices_univar(
     # p is monic, so only the t-coefficients below n are needed
     g = []
     for j in range(d):
-        e_j = tuple(int(t == j) for t in range(d))
-        nodes, polys = _sample(pipe, a, e_j, n, pa)
+        b_j = tuple(unit * (t == j) for t in range(d))
+        nodes, polys = _sample(pipe, a, b_j, n, pa)
         weights = _derivative_weights(nodes)
         g.append([sum(w * p[i] for w, p in zip(weights, polys)) for i in range(n)])
 
@@ -197,7 +198,7 @@ def vertices_univar(
         dp = poly_eval(pa_derivative, theta)
         if dp == 0:
             raise RankInstability("repeated root of p_a; resample the direction")
-        vertices.append(tuple(-poly_eval(g[j], theta) / dp for j in range(d)))
+        vertices.append(tuple(-poly_eval(g[j], theta) / (unit * dp) for j in range(d)))
     pipe.prov.directions = [a]
     pipe.prov.ranks = [proj.rank]
     return pipe.finish(vertices)

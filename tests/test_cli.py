@@ -154,6 +154,34 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
     assert "Traceback" not in captured.err
 
 
+# JSON readers turn 1e400 into inf and accept NaN
+@pytest.mark.parametrize("kind, text", [
+    ("direction", "1e400,1"),
+    ("polytope", '{"dim": 2, "vertices": [[0, 0], [1e400, 0], [0, 1]]}'),
+    ("polytope", '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, NaN]]}'),
+    ("moments", '{"dim": 2, "direction": ["1", "2"], "mode": "float", '
+                '"moments": [0.5, 0.5, 1e400, 0.75, 1.0]}'),
+    ("moments", '{"dim": 2, "direction": ["1", "2"], "mode": "float", '
+                '"moments": [0.5, 0.5, "1e400", 0.75, 1.0]}'),
+    ("moments", '{"dim": 2, "direction": [NaN, 2], "mode": "float", '
+                '"moments": [0.5, 0.5, 0.5, 0.75, 1.0]}'),
+], ids=["direction-overflow", "vertex-overflow", "vertex-nan", "moment-overflow",
+        "moment-string-overflow", "moment-direction-nan"])
+def test_non_finite_float_input_exit_2(square_file, tmp_path, capsys, kind, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if kind == "direction":
+        args = ["moments", square_file, "--direction", text, "--count", "3"]
+    elif kind == "polytope":
+        args = ["moments", str(path), *MOMENTS_ARGS]
+    else:
+        args = ["reconstruct", "--moments", str(path), "--nmax", "2"]
+    code = main([*args, "--mode", "float"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and "not a finite double" in err
+
+
 @pytest.mark.parametrize("args", [
     ["moments", "{p}", *MOMENTS_ARGS, "--out", "{bad}"],
     ["moments", "{p}", *MOMENTS_ARGS, "--csv", "{bad}"],

@@ -50,12 +50,14 @@ from polymom.moments import (
     triangulation_of,
     vertex_side_scaled_entry,
     vertex_weight_terms,
+    _vertex_contractions,
 )
 from polymom.numeric import (
     MultiPoly,
     exact_div,
     extract_diff,
     falling,
+    integerize,
     jet_variables,
     mfactorial,
     poly_parse,
@@ -549,6 +551,82 @@ class TestScaledMomentVector:
             c = scaled_moment_vector(ms, 2 * n).c
             for k in range(2 * n + 1):
                 assert vertex_side_scaled_entry(p, z, k) == c[k]
+
+
+def _jet_contractions(p, z, piece):
+    """e_{v,i} = [piece(d/dz) W_v L_v^i](z), i <= deg(piece), per vertex
+    from the jets of ``vertex_weight_terms``, as sorted (<v,z>, row)."""
+    out = []
+    for proj, weight in vertex_weight_terms(p, jet_variables(tuple(z), piece.degree)):
+        value = proj.value()
+        lin, jet, row = proj - value, weight, []
+        for _ in range(piece.degree + 1):
+            row.append(extract_diff(piece, jet))
+            jet = jet * lin
+        out.append((value, tuple(row)))
+    return sorted(out)
+
+
+def _closed_contractions(p, z, pieces):
+    """The same rows from ``_vertex_contractions``, one list per piece."""
+    projs, scale, tables = _vertex_contractions(p, z, pieces)
+    return [sorted((F(n) / scale, tuple(F(x) / (den * scale**i) for i, x in enumerate(row)))
+                   for n, row in zip(projs, rows))
+            for den, rows in tables]
+
+
+class TestClosedFormContraction:
+    """The closed-form contraction against the jet path it replaced."""
+
+    def _cases(self, seed, n):
+        rng = Random(seed)
+        makers = (lambda: random_polygon(rng), lambda: random_tetrahedron(rng),
+                  lambda: random_prism(rng), lambda: random_parallelepiped(rng),
+                  square_pyramid)
+        for k in range(n):
+            p = makers[k % len(makers)]()
+            pieces = [random_density(rng, p.dim, s).homogeneous_parts()[s] for s in (1, 2, 3)]
+            # monomial moments shift a piece by x^m, up to degree 6
+            for q in (1, 2, 3):
+                base = random_density(rng, p.dim, 3).homogeneous_parts()[3]
+                m = (q,) + (0,) * (p.dim - 1) if k % 2 else tuple(rng.choice((0, 1)) for _ in range(p.dim))
+                pieces.append(MultiPoly(p.dim, {tuple(a + b for a, b in zip(m, e)): c
+                                                for e, c in base.terms.items()}))
+            while True:
+                z = integerize(sample_generic_direction(p.dim, 1009, rng).coords)[0]
+                try:
+                    vertex_weight_terms(p, z)
+                    break
+                except DenominatorVanishes:
+                    continue
+            yield p, pieces, z
+
+    def test_exact_equals_jets(self):
+        degrees, kinds = set(), set()
+        for p, pieces, z in self._cases(21, 10):
+            for piece, rows in zip(pieces, _closed_contractions(p, z, pieces)):
+                assert rows == _jet_contractions(p, z, piece)
+                degrees.add(piece.degree)
+            kinds.add((p.dim, p.cones is None))
+        assert {1, 2, 3, 6} <= degrees
+        assert kinds == {(2, False), (3, False), (3, True)}
+
+    def test_float_within_1e_12(self):
+        for p, pieces, z in self._cases(22, 10):
+            exact = _closed_contractions(p, z, pieces)
+            pf, zf = polytope_to_float(p), tuple(float(x) for x in z)
+            got = _closed_contractions(pf, zf, [piece.to_float() for piece in pieces])
+            for want_rows, got_rows in zip(exact, got):
+                for (_, want), (_, row) in zip(want_rows, got_rows):
+                    size = max(map(abs, want))
+                    assert all(abs(x - w) <= 1e-12 * size for x, w in zip(row, want))
+
+    def test_zero_edge_value_names_the_given_edge(self):
+        tri = Polytope(dim=2, vertices=((F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 3))),
+                       simplices=((0, 1, 2),))
+        with pytest.raises(DenominatorVanishes) as info:
+            axial_moments_brion_density(tri, (0, 1), 3, poly_parse("1 + x1", 2))
+        assert info.value.vertex == 0 and info.value.edge == (F(1, 2), F(0))
 
 
 class TestMonomialMoments:

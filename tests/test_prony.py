@@ -613,6 +613,29 @@ class TestSquarefreeCertificate:
             roots_exact(PronyPolynomial((F(0), F(-1)), scale=2.0))
 
 
+def _fraction_nth_root(coeffs, n):
+    """The n-th root by the reversed-series recursion over Fractions,
+    verified by re-powering: the routine the integer one replaced."""
+    c = [F(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c or c[-1] != 1 or (len(c) - 1) % n:
+        return None
+    half = (len(c) - 1) // n
+    a = c[::-1]
+    b = [F(1)] + [F(0)] * half
+    for k in range(1, half + 1):
+        s = k * a[k]
+        for i in range(1, k):
+            s += i * a[i] * b[k - i] - n * i * b[i] * a[k - i]
+        b[k] = s / (n * k)
+    root = b[::-1]
+    check = [F(1)]
+    for _ in range(n):
+        check = _times(check, root)
+    return root if check == c else None
+
+
 class TestPolyNthRoot:
     def test_square(self):
         # (t^2 + t + 1)^2
@@ -621,6 +644,26 @@ class TestPolyNthRoot:
 
     def test_not_a_power(self):
         assert poly_nth_root([F(1), F(1), F(0), F(1)], 3) is None
+
+    def test_against_the_fraction_routine(self):
+        rng = Random(31)
+        for _ in range(60):
+            k = rng.choice((2, 3))
+            roots = [F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))]
+            base = _from_roots(roots)
+            power = [F(1)]
+            for _ in range(k):
+                power = _times(power, base)
+            want = _fraction_nth_root(power, k)
+            assert want == base and poly_nth_root(power, k) == want
+            # a perturbed coefficient, a non-monic multiple, the wrong power
+            bent = list(power)
+            bent[rng.randrange(len(bent) - 1)] += F(1, rng.randint(1, 5))
+            for other, n in ((bent, k), ([2 * x for x in power], k), (power, 5 - k)):
+                want = _fraction_nth_root(other, n)
+                assert poly_nth_root(other, n) == want
+                if other is not power:
+                    assert want is None
 
 
 class TestRootsFloat:

@@ -13,6 +13,7 @@ from conftest import (
     random_polygon,
     random_prism,
     random_simple_polytope,
+    random_tetrahedron,
     square_pyramid,
     unit_cube,
     unit_square,
@@ -21,12 +22,13 @@ from conftest import (
 from polymom.config import RunConfig
 from polymom.errors import (
     AmbiguousMatching,
+    FullRankHankel,
     InputError,
     InsufficientMoments,
     IrrationalRoot,
     MatchingFailure,
 )
-from polymom.geometry import dot, polytope_to_float
+from polymom.geometry import dot, polytope_to_float, sample_generic_direction
 from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
 from polymom.prony import PronyPolynomial, moments_needed
 from polymom.reconstruct import (
@@ -40,6 +42,7 @@ from polymom.reconstruct import (
     reconstruction_error,
     sequence_from_oracle,
 )
+from polymom.univar import vertices_univar
 
 F = Fraction
 # the package namespace binds ``reconstruct`` to the function
@@ -604,6 +607,69 @@ class TestSequenceReconstruction:
         assert reconstruction_error(square, vs) <= 1e-10
         with pytest.raises(InsufficientMoments):
             reconstruct_from_sequences(files(need - 1), 4)
+
+
+def _pin_corpus():
+    """Seeded polygons with densities of degree 0-2, a tetrahedron with a
+    degree-1 density, a prism and the cube; small direction denominators
+    so that some runs retry."""
+    rng = Random(2026)
+    for k in range(12):
+        p = random_polygon(rng, max_vertices=5)
+        yield p, (random_density(rng, 2, k % 3, p) if k % 3 else None)
+    p = random_tetrahedron(rng)
+    yield p, random_density(rng, 3, 1, p)
+    yield random_prism(rng), None
+    yield unit_cube(), None
+
+
+# (moment_count, retries) of reconstruct, frugal and univar per corpus entry,
+# as the pipeline gave them with rational sampled directions
+PINNED_RUNS = (
+    ((21, 0), (21, 0), (63, 0)), ((54, 0), (54, 0), (198, 0)),
+    ((81, 1), (81, 1), (297, 0)), ((21, 0), (21, 0), (63, 0)),
+    ((54, 0), (54, 0), (198, 0)), ((81, 0), (81, 0), (297, 0)),
+    ((27, 0), (27, 0), (99, 0)), ((42, 0), (42, 0), (126, 0)),
+    ((81, 0), (81, 0), (297, 0)), ((21, 0), (21, 0), (63, 0)),
+    ((54, 0), (54, 0), (198, 0)), ((63, 0), (63, 0), (189, 0)),
+    ((65, 0), (91, 4), (169, 1)), ((70, 2), (90, 5), (190, 0)),
+    ((294, 19), (196, 13), (364, 2)),
+)
+
+
+class TestIntegerDirections:
+    """Exact mode samples the integer numerators r z of its directions."""
+
+    def test_runs_are_unchanged(self):
+        for i, ((p, rho), pinned) in enumerate(zip(_pin_corpus(), PINNED_RUNS, strict=True)):
+            config = RunConfig(seed=i, denominator=(3, 5, 7)[i % 3])
+            got = []
+            for run in (reconstruct, match_frugal_d_plus_1, vertices_univar):
+                vs = run(PolytopeMomentOracle(p, rho), p.n_vertices, config, Random(i))
+                assert vs.vertices == tuple(sorted(p.vertices))
+                got.append((vs.provenance.moment_count, vs.provenance.retries))
+            assert tuple(got) == pinned, i
+
+    def test_directions_are_r_times_the_draws(self):
+        for seed, (p, r) in enumerate([(unit_square(), 1000003), (unit_cube(), 1000003),
+                                       (square_pyramid(), 7)]):
+            replay = Random(seed)
+            draws = {sample_generic_direction(p.dim, r, replay).coords for _ in range(200)}
+            vs = reconstruct(PolytopeMomentOracle(p), p.n_vertices,
+                             RunConfig(seed=seed, denominator=r), Random(seed))
+            assert vs.provenance.directions
+            for z in vs.provenance.directions:
+                assert all(type(x) is int for x in z)
+                assert tuple(F(x, r) for x in z) in draws
+
+    @pytest.mark.parametrize("run", [reconstruct, match_frugal_d_plus_1, vertices_univar])
+    def test_undersized_nmax_stops_at_the_first_direction(self, run):
+        # the exact Hankel rank is at most N along every direction, so a
+        # full rank at nmax = 3 < 4 is conclusive: 2m - 1 - d = 5 moments
+        oracle = PolytopeMomentOracle(unit_square())
+        with pytest.raises(FullRankHankel):
+            run(oracle, 3, RunConfig(seed=1), Random(1))
+        assert oracle.unique_count == 5
 
 
 class TestReconstructionError:

@@ -10,6 +10,7 @@ from random import Random
 from conftest import unit_triangle
 from polymom.config import RunConfig
 from polymom.moments import PolytopeMomentOracle
+from polymom.numeric import poly_parse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,10 +25,27 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         oracle = PolytopeMomentOracle(unit_triangle())
         result = tracer.call_op(0, "reconstruct", lambda: tracing.reconstruct.reconstruct(
             oracle, 3, RunConfig(seed=1), Random(1)))
+        # a density runs the differentiated vertex sum under moments.brion
+        dense = PolytopeMomentOracle(unit_triangle(), poly_parse("2 + x1 - x2", 2))
+        dense_result = tracer.call_op(1, "reconstruct", lambda: tracing.reconstruct.reconstruct(
+            dense, 3, RunConfig(seed=1), Random(1)))
     finally:
         tracer.uninstall()
-    assert len(result.vertices) == 3
+    assert len(result.vertices) == 3 and dense_result.vertices == result.vertices
     # the matching core shows in its own layers
-    assert tracer.calls["reconstruct.choose_beta"] == 1
-    assert tracer.calls["reconstruct.match"] >= 1
+    assert tracer.calls["reconstruct.choose_beta"] == 2
+    assert tracer.calls["reconstruct.match"] >= 2
+    assert tracer.calls["moments.brion"] >= 2
+    # the _ensure probe counted every measurement the oracles computed
+    assert tracer.counts["moments.oracle.computed"] >= oracle.unique_count + dense.unique_count
+    assert tracer.counts["numeric.jet_mul.calls"] == 0
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
+
+
+def test_oracle_cache_layout():
+    # the tracer's _ensure probe reads a direction's entries as (coords, j)
+    oracle = PolytopeMomentOracle(unit_triangle(), poly_parse("1 + x1", 2))
+    coords = (3, 5)
+    ms = oracle.sequence(coords, 6)
+    assert (coords, 5) in oracle._values and (coords, 6) not in oracle._values
+    assert ms.moments == tuple(oracle._values[coords, j] for j in range(6))
