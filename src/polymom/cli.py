@@ -27,7 +27,7 @@ from .errors import (
     RankInstability,
     RankNotDivisible,
 )
-from .geometry import DEFAULT_DENOMINATOR, load_polytope
+from .geometry import load_polytope
 from .moments import (
     PolytopeMomentOracle,
     add_noise,
@@ -74,21 +74,18 @@ def _parse_direction(text, dim, mode):
 def _config_from_args(args, mode):
     return RunConfig(
         mode=mode,
-        denominator=getattr(args, "denominator", DEFAULT_DENOMINATOR),
-        seed=getattr(args, "seed", None),
-        rank_tol=getattr(args, "rank_tol", 1e-8),
-        real_tol=getattr(args, "real_tol", 1e-7),
-        cluster_tol=getattr(args, "cluster_tol", 1e-6),
-        match_tol=getattr(args, "match_tol", 1e-6),
-        noise=getattr(args, "noise", 0.0) or 0.0,
+        denominator=args.denominator,
+        seed=args.seed,
+        rank_tol=args.rank_tol,
+        real_tol=args.real_tol,
+        cluster_tol=args.cluster_tol,
+        match_tol=args.match_tol,
+        noise=args.noise,
     )
 
 
 def _density_from_args(args, dim):
-    expr = getattr(args, "density", None)
-    if not expr:
-        return None
-    return poly_parse(expr, dim)
+    return poly_parse(args.density, dim) if args.density else None
 
 
 def _serialize_beta(b):
@@ -137,13 +134,12 @@ def cmd_moments(args):
 def _build_oracle(args, p, mode):
     rho = _density_from_args(args, p.dim)
     rng = Random(args.seed if args.seed is not None else 0)
-    noise = getattr(args, "noise", 0.0) or 0.0
     return PolytopeMomentOracle(
         p,
         rho,
         mode=mode,
-        route=getattr(args, "route", "brion"),
-        noise=noise if mode == FLOAT else 0.0,
+        route=args.route,
+        noise=args.noise if mode == FLOAT else 0.0,
         rng=rng,
     )
 
@@ -207,20 +203,20 @@ def cmd_univar(args):
     return 0
 
 
-def _add_common(sub, with_noise=True):
-    sub.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
-    sub.add_argument("--real-tol", dest="real_tol", type=float, default=1e-7)
-    sub.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-6)
-    sub.add_argument("--match-tol", dest="match_tol", type=float, default=1e-6)
+def _add_common(sub):
+    cfg = RunConfig()
+    sub.add_argument("--mode", choices=[EXACT, FLOAT], default=cfg.mode)
+    sub.add_argument("--seed", type=int, default=cfg.seed)
+    sub.add_argument("--rank-tol", dest="rank_tol", type=float, default=cfg.rank_tol)
+    sub.add_argument("--real-tol", dest="real_tol", type=float, default=cfg.real_tol)
+    sub.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=cfg.cluster_tol)
+    sub.add_argument("--match-tol", dest="match_tol", type=float, default=cfg.match_tol)
     sub.add_argument(
-        "--denominator", type=int, default=DEFAULT_DENOMINATOR,
+        "--denominator", type=int, default=cfg.denominator,
         help="prime r for sampled directions z in {0, 1/r, ..., (r-1)/r}^d (exact mode: r z)",
     )
-    if with_noise:
-        sub.add_argument("--noise", type=float, default=0.0,
-                         help="relative moment noise (float mode only)")
+    sub.add_argument("--noise", type=float, default=cfg.noise,
+                     help="relative moment noise (float mode only)")
 
 
 def build_parser():

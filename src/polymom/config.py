@@ -9,6 +9,7 @@ from .errors import InputError
 from .geometry import DEFAULT_DENOMINATOR, _is_prime
 from .moments import _check_noise
 from .numeric import EXACT, FLOAT
+from .prony import DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, DEFAULT_REAL_TOL
 
 
 @dataclass(frozen=True)
@@ -22,31 +23,21 @@ class RunConfig:
     mode: str = EXACT
     denominator: int = DEFAULT_DENOMINATOR
     seed: int | None = None
-    rank_tol: float = 1e-8
-    real_tol: float = 1e-7
-    cluster_tol: float = 1e-6
+    rank_tol: float = DEFAULT_RANK_TOL
+    real_tol: float = DEFAULT_REAL_TOL
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
     match_tol: float = 1e-6
-    separation_tol: float = 5e-2
-    direction_retries: int = 30
     beta_trials: int | None = None
     noise: float = 0.0
-    # extra Hankel rows in float mode; noise averages out over the larger
-    # system while exact mode stays at the frugal minimum m = N + 1
-    float_oversample: int = 10
 
     def validate(self, nmax: int | None = None):
         if self.mode not in (EXACT, FLOAT):
             raise InputError(f"unknown mode {self.mode!r}")
-        for name in ("rank_tol", "real_tol", "cluster_tol", "match_tol",
-                     "separation_tol"):
+        for name in ("rank_tol", "real_tol", "cluster_tol", "match_tol"):
             if not 0 < getattr(self, name) < inf:
                 raise InputError(f"{name} must be finite and positive")
         if not self.rank_tol < 1:
             raise InputError("rank_tol must be below 1")
-        if self.float_oversample < 0:
-            raise InputError("float_oversample must be nonnegative")
-        if self.direction_retries < 1:
-            raise InputError("direction_retries must be at least 1")
         if self.beta_trials is not None and self.beta_trials < 1:
             raise InputError("beta_trials must be at least 1")
         _check_noise(self.noise)

@@ -263,14 +263,6 @@ def _brion_sum(p: Polytope, coords, q: int, count: int, pieces):
     return out
 
 
-def _density_parts(rho: MultiPoly):
-    if rho is None:
-        return None
-    if rho.is_zero():
-        return {}
-    return rho.homogeneous_parts()
-
-
 def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | None):
     """Moments for polynomial density rho via the differentiated vertex sum.
 
@@ -285,48 +277,27 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
     if rho.is_constant():
         return [rho.constant_value() * m for m in axial_moments_brion(p, z, count)]
     coords, q = integerize(_direction_coords(z))
-    return _brion_sum(p, coords, q, count, list(_density_parts(rho).values()))
+    return _brion_sum(p, coords, q, count, list(rho.homogeneous_parts().values()))
 
 
 def axial_moment_brion_density(p: Polytope, z, j: int, rho: MultiPoly | None):
     return axial_moments_brion_density(p, z, j + 1, rho)[j]
 
 
-def _lambda_coordinate_polys(pts, n_lambda):
-    """x_t as linear polynomials in the barycentric variables."""
-    d = len(pts[0])
-    out = []
-    for t in range(d):
-        terms = {}
-        for i in range(n_lambda):
-            exp = [0] * n_lambda
-            exp[i] = 1
-            if pts[i][t] != 0:
-                terms[tuple(exp)] = pts[i][t]
-        out.append(MultiPoly(n_lambda, terms))
-    return out
-
-
-def _substitute_density(rho, coord_polys, n_lambda):
+def _substitute_density(rho, pts):
+    """rho in the barycentric coordinates of the simplex ``pts``, where x_t
+    = sum_i pts[i][t] lambda_i."""
+    n = len(pts)
     if rho is None:
-        return MultiPoly.constant(n_lambda, Fraction(1))
-    # cache powers of the coordinate polynomials
-    max_exp = [0] * len(coord_polys)
-    for exp in rho.terms:
-        for t, e in enumerate(exp):
-            max_exp[t] = max(max_exp[t], e)
-    powers = []
-    for t, poly in enumerate(coord_polys):
-        plist = [MultiPoly.constant(n_lambda, Fraction(1))]
-        for _ in range(max_exp[t]):
-            plist.append(plist[-1] * poly)
-        powers.append(plist)
-    total = MultiPoly(n_lambda, {})
+        return MultiPoly.constant(n, Fraction(1))
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    xs = [MultiPoly(n, {u: v[t] for u, v in zip(units, pts)}) for t in range(len(pts[0]))]
+    total = MultiPoly(n, {})
     for exp, coef in rho.terms.items():
-        term = MultiPoly.constant(n_lambda, coef)
-        for t, e in enumerate(exp):
+        term = MultiPoly.constant(n, coef)
+        for x, e in zip(xs, exp):
             if e:
-                term = term * powers[t][e]
+                term = term * x**e
         total = total + term
     return total
 
@@ -348,7 +319,6 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     """
     d = p.dim
     coords, q = integerize(_direction_coords(z))
-    n_lambda = d + 1
     out = [0] * count
     for simplex in triangulation_of(p):
         pts = [p.vertices[i] for i in simplex]
@@ -362,7 +332,7 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
         base = [1] + [0] * (count - 1)
         for c in projs:
             _geometric_pass(base, c)
-        density = _substitute_density(rho, _lambda_coordinate_polys(pts, n_lambda), n_lambda)
+        density = _substitute_density(rho, pts)
         coefs, den = integerize([vol * r for r in density.terms.values()])
         # j!/(j+d+s)! = falling(j+d+top, top-s) / falling(j+d+top, d+top)
         top = density.degree
@@ -397,7 +367,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
     # every term is homogeneous of degree k - d - deg in z
     hom = k - p.dim - deg
     unscale = Fraction(1, q**hom) if hom >= 0 else Fraction(q ** (-hom))
-    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else _density_parts(rho)
+    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else rho.homogeneous_parts()
     # a piece with k - deg + s < 0 has a vanishing falling factorial
     live = {s: piece for s, piece in parts.items() if k - deg + s >= 0 and falling(k, deg - s)}
     projs, scale, tables = _vertex_contractions(p, coords, list(live.values()))
@@ -597,7 +567,7 @@ def monomial_moments_of_degree(
     """
     if rng is None:
         rng = Random(20240615 + q)
-    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else _density_parts(rho)
+    parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else rho.homogeneous_parts()
     exps = list(_exponents_of_degree(p.dim, q))
     attempts = 0
     while True:

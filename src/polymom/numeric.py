@@ -2,10 +2,11 @@
 
 Exact mode works over ``fractions.Fraction``; float mode over plain ``float``.
 The jet type realizes the differential operator rho(d/dz_1, ..., d/dz_d)
-numerically: evaluating a function on jets of order k at a point yields its
+generically: evaluating a function on jets of order k at a point yields its
 Taylor coefficients up to total degree k, from which any mixed partial of
-total order <= k can be read off. All values here are immutable and all
-operations pure.
+total order <= k can be read off. The pipeline applies the operator in
+closed form (``moments._vertex_contractions``); jets are the tests'
+reference for it. All values here are immutable and all operations pure.
 """
 
 from __future__ import annotations
@@ -229,13 +230,10 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative polynomial power")
+        # one factor at a time, so float coefficients round as in x * x * ... * x
         result = MultiPoly.constant(self.dim, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):

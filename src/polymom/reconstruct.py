@@ -22,13 +22,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from random import Random
 
 import numpy as np
 
-from . import linalg
+from . import linalg, prony
 from .config import RunConfig
 from .errors import (
     AmbiguousMatching,
@@ -45,17 +44,23 @@ from .geometry import Polytope, sample_generic_direction
 from .moments import MomentSequence, axial_moments_direct, triangulation_of
 from .numeric import EXACT, FLOAT
 from .prony import (
+    DEFAULT_SEPARATION_TOL,
     ProjectionSet,
     PronyPolynomial,
     moments_needed,
     projections_from_moments,
     prony_polynomial_from_sequence,
-    roots_exact,
 )
 
 # a direction whose Prony solve raises one of these is resampled (a cone pole
 # can leave irrational roots even for a rational polytope)
 _BAD_DIRECTION = (NonGenericDirection, DenominatorVanishes, IrrationalRoot)
+
+# fresh directions drawn per acquisition, matching retry or self-check
+DIRECTION_RETRIES = 30
+# extra Hankel rows in float mode; noise averages out over the larger
+# system while exact mode stays at the frugal minimum m = N + 1
+FLOAT_OVERSAMPLE = 10
 
 
 @dataclass
@@ -132,7 +137,7 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6)
                 total = total * x + a
         return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
     try:
-        hit = roots_exact(pz).__contains__
+        hit = prony.roots_exact(pz).__contains__
     except IrrationalRoot:
         return None
     return [
@@ -219,9 +224,7 @@ class _Pipeline:
             )
         self.rng = rng if rng is not None else Random(self.config.seed)
         self.prov = Provenance()
-        self.oversample = (
-            self.config.float_oversample if self.config.mode == FLOAT else 0
-        )
+        self.oversample = FLOAT_OVERSAMPLE if self.config.mode == FLOAT else 0
         # the factor sample_direction scales its draws by
         self.unit = self.config.denominator if self.config.mode == EXACT else 1
 
@@ -240,9 +243,9 @@ class _Pipeline:
         cfg = self.config
         # the separation guard exists to bound noise amplification
         # (~ noise / gap^2), so its width scales with the noise level;
-        # cfg.separation_tol is calibrated at 1e-9 relative noise
-        sep = cfg.separation_tol * (max(cfg.noise, 1e-15) / 1e-9) ** 0.5
-        sep = min(max(sep, 1e-9), cfg.separation_tol)
+        # DEFAULT_SEPARATION_TOL is calibrated at 1e-9 relative noise
+        sep = DEFAULT_SEPARATION_TOL * (max(cfg.noise, 1e-15) / 1e-9) ** 0.5
+        sep = min(max(sep, 1e-9), DEFAULT_SEPARATION_TOL)
         return projections_from_moments(
             ms, n_for_hankel, cfg.rank_tol, cfg.real_tol, cfg.cluster_tol,
             sep, self.oversample,
@@ -262,64 +265,47 @@ class _Pipeline:
             )
         return pz
 
-    def acquire_first(self):
-        last_error = None
-        for _ in range(self.config.direction_retries):
-            coords = self.sample_direction()
-            try:
-                proj = self.projections_at(coords, self.nmax)
-                return coords, proj
-            except _BAD_DIRECTION as exc:
-                # exact Hankel rank is at most (D+1)N along every direction
-                # (collisions only lower it), so a full rank means nmax < N
-                if isinstance(exc, FullRankHankel) and self.config.mode == EXACT:
-                    raise
-                last_error = exc
-                self.prov.retries += 1
-        raise RankInstability(
-            f"no usable first direction after {self.config.direction_retries} "
-            f"retries; last error: {last_error}"
-        )
+    def acquire(self, existing=(), n=None):
+        """A fresh direction, linearly independent of ``existing``, and its
+        projections. With ``n`` None the direction is probed at nmax; exact
+        Hankel rank is at most (D+1)N along every direction (collisions only
+        lower it), so in exact mode a full rank means nmax < N and is raised.
 
-    def acquire_direction(self, existing, n_expected):
-        """A fresh direction, linearly independent of ``existing``, whose
-        Prony solve reports ``n_expected`` vertices.
-
-        A full-rank Hankel at the expected size means an earlier direction
-        undercounted (silent projection collision); the same direction is
-        re-probed at nmax and, if it reveals more vertices, returned so the
-        caller can restart from it.
+        With ``n`` set the Prony solve must report n vertices. A full-rank
+        Hankel at size n means an earlier direction undercounted (silent
+        projection collision); the same direction is re-probed at nmax and,
+        if it reveals more vertices, returned so the caller can restart
+        from it.
         """
         last_error = None
-        for _ in range(self.config.direction_retries):
+        for _ in range(DIRECTION_RETRIES):
             coords = self.sample_direction()
-            if not _independent(list(existing) + [coords], self.config.mode):
+            if existing and not _independent([*existing, coords], self.config.mode):
                 self.prov.retries += 1
                 continue
             try:
-                proj = self.projections_at(coords, n_expected)
-            except FullRankHankel as exc:
+                proj = self.projections_at(coords, self.nmax if n is None else n)
+            except _BAD_DIRECTION as exc:
+                full = isinstance(exc, FullRankHankel)
+                if full and n is None and self.config.mode == EXACT:
+                    raise
                 last_error = exc
                 self.prov.retries += 1
-                if n_expected < self.nmax:
+                if full and n is not None and n < self.nmax:
                     try:
                         proj = self.projections_at(coords, self.nmax)
                     except _BAD_DIRECTION:
                         continue
-                    if proj.n > n_expected:
+                    if proj.n > n:
                         return coords, proj
                 continue
-            except _BAD_DIRECTION as exc:
-                last_error = exc
-                self.prov.retries += 1
-                continue
-            if proj.n != n_expected:
+            if n is not None and proj.n != n:
                 self.prov.retries += 1
                 continue
             return coords, proj
         raise RankInstability(
-            f"no usable direction after {self.config.direction_retries} retries; "
-            f"last error: {last_error}"
+            f"no usable {'first ' if n is None else ''}direction after "
+            f"{DIRECTION_RETRIES} retries; last error: {last_error}"
         )
 
     def acquire_base(self):
@@ -327,11 +313,10 @@ class _Pipeline:
         count, as (coords, projections) pairs. A direction that reveals
         more vertices than the earlier ones shows they undercounted, and
         the base restarts from it."""
-        z1, proj1 = self.acquire_first()
-        n = proj1.n
-        base = [(z1, proj1)]
+        base = [self.acquire()]
+        n = base[0][1].n
         while len(base) < self.oracle.dim:
-            coords, proj = self.acquire_direction([b[0] for b in base], n)
+            coords, proj = self.acquire([b[0] for b in base], n)
             if proj.n > n:
                 base = [(coords, proj)]
                 n = proj.n
@@ -426,7 +411,7 @@ def _self_check(pipeline: _Pipeline, vertices, simplices=None):
     # good reconstructions sit many orders below bad ones on either
     # statistic; the threshold splits the gap
     tol = max(1e-6, 1e3 * pipeline.config.noise)
-    for _ in range(pipeline.config.direction_retries):
+    for _ in range(DIRECTION_RETRIES):
         coords = pipeline.sample_direction()
         if recon is None:
             residual = _projection_residual(pipeline, vertices, coords)
@@ -501,7 +486,7 @@ def reconstruct(
     rows, values, pairings = [z1], [x1], []
     for i in range(1, d):
         zi, proj_i = base[i]
-        for _ in range(pipe.config.direction_retries):
+        for _ in range(DIRECTION_RETRIES):
             def poly_for(alphas, _zi=zi):
                 return pipe.poly_at(tuple(a + alphas[1] * b for a, b in zip(z1, _zi)), n)
 
@@ -509,7 +494,7 @@ def reconstruct(
                 alphas, hits = pipe.match([x1, proj_i.values], poly_for)
                 break
             except MatchingFailure:
-                zi, proj_i = pipe.acquire_direction(rows, n)
+                zi, proj_i = pipe.acquire(rows, n)
         else:
             raise MatchingFailure(f"matching failed for direction {i} after retries")
         rows.append(zi)

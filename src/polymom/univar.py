@@ -81,10 +81,11 @@ def _squarefree_projection_poly(poly: PronyPolynomial, multiplicity: int):
 
 
 def _node_pool(n, mode, limit=512):
-    """Deterministic interpolation nodes: the integers 0..n, then
-    half-integer and deeper rational offsets for non-generic samples."""
+    """Deterministic interpolation nodes: the integers 0..n (ints in exact
+    mode, so integer directions stay integer), then half-integer and deeper
+    rational offsets for non-generic samples."""
     for k in range(n + 1):
-        yield Fraction(k) if mode == EXACT else float(k)
+        yield k if mode == EXACT else float(k)
     denom = 2
     while denom < limit:
         for num in range(1, 2 * denom * (n + 1), 2):
@@ -139,9 +140,10 @@ def _derivative_weights(nodes):
     factor s - s_0 = s of L_k vanishes at 0, so w_k = (1/s_k) prod over
     j not in {0, k} of s_j / (s_j - s_k); on the nodes 0..n, w_0 = -H_n and
     w_k = (-1)^(k-1) C(n,k) / k."""
-    weights = [-sum(1 / s for s in nodes[1:])]
+    one = Fraction(1)  # exact for int nodes; a float node gives 1 / s
+    weights = [-sum(one / s for s in nodes[1:])]
     for k in range(1, len(nodes)):
-        w = 1 / nodes[k]
+        w = one / nodes[k]
         for s in nodes[1:k] + nodes[k + 1:]:
             w = w * s / (s - nodes[k])
         weights.append(w)
@@ -179,7 +181,7 @@ def vertices_univar(
         a, unit = tuple(base_direction), 1
         proj = pipe.projections_at(a, nmax)
     else:
-        (a, proj), unit = pipe.acquire_first(), pipe.unit
+        (a, proj), unit = pipe.acquire(), pipe.unit
     n = proj.n
     pa = _squarefree_projection_poly(proj.poly, mult)
     pa_derivative = poly_derivative(pa)

@@ -230,9 +230,9 @@ def test_criterion_7_univariate_sign_identity(corpus):
             n = p.n_vertices
             oracle = PolytopeMomentOracle(p)
             pipe = _Pipeline(oracle, n, _cfg(), Random(400 + i))
-            a, proj = pipe.acquire_first()
+            a, proj = pipe.acquire()
             if proj.n != n:
-                a, proj = pipe.acquire_first()
+                a, proj = pipe.acquire()
             assert proj.n == n
             pa = list(proj.poly.coeffs) + [F(1)]
             dpa = poly_derivative(pa)

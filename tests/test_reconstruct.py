@@ -1,6 +1,7 @@
 """Cross-direction matching and full vertex reconstruction."""
 
 import itertools
+import sys
 from fractions import Fraction
 from importlib import import_module
 from math import factorial
@@ -32,6 +33,8 @@ from polymom.geometry import dot, polytope_to_float, sample_generic_direction
 from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
 from polymom.prony import PronyPolynomial, moments_needed
 from polymom.reconstruct import (
+    FLOAT_OVERSAMPLE,
+    _Pipeline,
     _tuple_hits,
     assemble_vertices,
     choose_beta,
@@ -45,8 +48,7 @@ from polymom.reconstruct import (
 from polymom.univar import vertices_univar
 
 F = Fraction
-# the package namespace binds ``reconstruct`` to the function
-reconstruct_module = import_module("polymom.reconstruct")
+prony_module = import_module("polymom.prony")
 
 
 def _poly_from_roots(roots):
@@ -184,13 +186,15 @@ class TestRootSetMatching:
         def run(solver, p, nmax):
             return solver(PolytopeMomentOracle(p), nmax, _cfg(), rng=Random(5))
 
-        def first_call_irrational(roots_exact):
+        def first_match_irrational(roots_exact):
             calls = []
 
             def patched(pz):
-                calls.append(pz)
-                if len(calls) == 1:
-                    raise IrrationalRoot("injected")
+                # the base directions' Prony solves search roots too
+                if sys._getframe(1).f_code is _tuple_hits.__code__:
+                    calls.append(pz)
+                    if len(calls) == 1:
+                        raise IrrationalRoot("injected")
                 return roots_exact(pz)
 
             return patched
@@ -199,8 +203,8 @@ class TestRootSetMatching:
                                 (match_frugal_d_plus_1, unit_cube(), 8)):
             plain = run(solver, p, nmax)
             with monkeypatch.context() as m:
-                m.setattr(reconstruct_module, "roots_exact",
-                          first_call_irrational(reconstruct_module.roots_exact))
+                m.setattr(prony_module, "roots_exact",
+                          first_match_irrational(prony_module.roots_exact))
                 injected = run(solver, p, nmax)
             assert injected.vertices == plain.vertices
             assert injected.provenance.retries == plain.provenance.retries + 1
@@ -396,6 +400,17 @@ class TestReconstruct:
             if vs.provenance.retries == 0:
                 assert vs.provenance.moment_count == (2 * d - 1) * (2 * n + 1 - d)
 
+    def test_undercounted_base_restarts(self, monkeypatch):
+        # (1, -1) projects (0, 0) and (1, 1) both onto 0, so the first
+        # direction reports 3 vertices; (1, 2) is full rank at n = 3, its
+        # re-probe at nmax finds 4, and the base restarts from it
+        draws = iter([(1, -1), (1, 2), (2, 1)])
+        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self: next(draws))
+        vs = reconstruct(PolytopeMomentOracle(unit_square()), 4, _cfg(), Random(1))
+        assert vs.vertices == tuple(sorted(unit_square().vertices))
+        assert vs.provenance.directions == [(1, 2), (2, 1)]
+        assert (vs.provenance.retries, vs.provenance.moment_count) == (4, 42)
+
     def test_larger_nmax_still_recovers(self):
         oracle = PolytopeMomentOracle(unit_square())
         vs = reconstruct(oracle, 7, _cfg(), rng=Random(5))
@@ -459,7 +474,7 @@ class TestReconstruct:
         ("rank_tol", float("nan")), ("rank_tol", 1.5), ("rank_tol", 1.0),
         ("real_tol", float("inf")), ("match_tol", float("nan")),
         ("noise", float("nan")), ("noise", float("inf")), ("noise", -1e-9),
-        ("float_oversample", -5),
+        ("cluster_tol", 0.0),
     ])
     def test_meaningless_settings_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -597,7 +612,7 @@ class TestSequenceReconstruction:
         fsquare = polytope_to_float(square)
         dirs = [(1.0, 0.3), (0.4, 1.0)]
         combined = [tuple(a + beta * b for a, b in zip(*dirs)) for beta in (1.0, 2.0, 3.0)]
-        need = moments_needed(2, 4, 0, RunConfig().float_oversample)
+        need = moments_needed(2, 4, 0, FLOAT_OVERSAMPLE)
 
         def files(count):
             return [moment_sequence(fsquare, z, count, mode="float", route="direct")

@@ -25,6 +25,7 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         oracle = PolytopeMomentOracle(unit_triangle())
         result = tracer.call_op(0, "reconstruct", lambda: tracing.reconstruct.reconstruct(
             oracle, 3, RunConfig(seed=1), Random(1)))
+        root_searches = tracer.calls["prony.roots_exact"]
         # a density runs the differentiated vertex sum under moments.brion
         dense = PolytopeMomentOracle(unit_triangle(), poly_parse("2 + x1 - x2", 2))
         dense_result = tracer.call_op(1, "reconstruct", lambda: tracing.reconstruct.reconstruct(
@@ -35,6 +36,9 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
     # the matching core shows in its own layers
     assert tracer.calls["reconstruct.choose_beta"] == 2
     assert tracer.calls["reconstruct.match"] >= 2
+    # one root search per base direction, and one per combined direction
+    # in exact matching: 2 + 1 on the triangle
+    assert root_searches >= 3
     assert tracer.calls["moments.brion"] >= 2
     # the _ensure probe counted every measurement the oracles computed
     assert tracer.counts["moments.oracle.computed"] >= oracle.unique_count + dense.unique_count

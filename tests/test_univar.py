@@ -153,7 +153,7 @@ class TestSignIdentity:
             from polymom.reconstruct import _Pipeline
 
             pipe = _Pipeline(oracle, n, _cfg(), rng)
-            a, proj = pipe.acquire_first()
+            a, proj = pipe.acquire()
             pa = list(proj.poly.coeffs) + [F(1)]
             dpa = poly_derivative(pa)
             one = F(1)
@@ -209,7 +209,7 @@ class TestDerivativeWeights:
         for _ in range(3):
             p = random_simple_polytope(rng)
             n = p.n_vertices
-            a, proj = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire_first()
+            a, proj = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire()
             pa = list(proj.poly.coeffs) + [F(1)]
             for j in range(p.dim):
                 b = tuple(F(int(t == j)) for t in range(p.dim))
@@ -229,7 +229,7 @@ class TestDerivativeWeights:
     def test_univar_on_fallback_nodes(self, rng):
         p = random_simple_polytope(rng)
         n = p.n_vertices
-        a, _ = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire_first()
+        a, _ = _Pipeline(PolytopeMomentOracle(p), n, _cfg(), rng).acquire()
         avoid = {tuple(x + F(s) * int(t == j) for t, x in enumerate(a))
                  for j in range(p.dim) for s in (1, 3)}
         vs = vertices_univar(_AvoidingOracle(p, avoid), n, _cfg(), rng, base_direction=a)
