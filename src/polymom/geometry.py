@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from . import linalg
 from .errors import InputError
@@ -116,26 +116,22 @@ def _cross2(o, a, b):
 
 
 def _angular_order(vertices):
-    """Indices of 2-d points sorted counterclockwise around their centroid."""
+    """Indices of 2-d points sorted counterclockwise around their centroid,
+    compared on the offsets from it, which ``integerize`` scales to ints by
+    one positive factor for exact data."""
     n = len(vertices)
     cx = sum((v[0] for v in vertices), Fraction(0)) / n
     cy = sum((v[1] for v in vertices), Fraction(0)) / n
-    c = (cx, cy)
-
-    def half(i):
-        x, y = vertices[i][0] - cx, vertices[i][1] - cy
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    flat, _ = integerize([w for v in vertices for w in (v[0] - cx, v[1] - cy)])
+    offsets = [flat[k:k + 2] for k in range(0, 2 * n, 2)]
+    halves = [0 if (y > 0 or (y == 0 and x > 0)) else 1 for x, y in offsets]
 
     def cmp(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        cr = _cross2(c, vertices[i], vertices[j])
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
+        if halves[i] != halves[j]:
+            return halves[i] - halves[j]
+        (xi, yi), (xj, yj) = offsets[i], offsets[j]
+        cr = xi * yj - yi * xj
+        return (cr < 0) - (cr > 0)
 
     return sorted(range(n), key=functools.cmp_to_key(cmp))
 
@@ -256,10 +252,7 @@ def simplex_volume(vertices, simplex):
     pts = [vertices[i] for i in simplex]
     d = len(pts[0])
     m = [list(_sub(pts[j], pts[0])) for j in range(1, d + 1)]
-    det = linalg.det_exact(m)
-    from math import factorial
-
-    return abs(det) / factorial(d)
+    return abs(linalg.det_exact(m)) / factorial(d)
 
 
 def _is_prime(n: int) -> bool:

@@ -21,8 +21,11 @@ closed form:
   integral of lambda^a <x,z>^j = vol a! j!/(d+|a|+j)! H_j^(a)(c), where
   sum_j H_j^(a) t^j = prod_i (1 - c_i t)^-(a_i+1) (for a = 0 the complete
   homogeneous symmetric polynomials; Lasserre & Avrachenkov, Amer. Math.
-  Monthly 2001). It uses no vertex cone, weight or formula of the
-  ``brion`` route, so the two stay independent checks of each other.
+  Monthly 2001). Exact data runs on integers: the vertices, the density
+  and the direction are cleared once per polytope to one denominator,
+  every simplex adds to integer sums, and each moment takes one division.
+  It uses no vertex cone, weight or formula of the ``brion`` route, so the
+  two stay independent checks of each other.
 
 All computations are mode-agnostic: exact inputs stay exact, float inputs
 produce floats.
@@ -284,24 +287,6 @@ def axial_moment_brion_density(p: Polytope, z, j: int, rho: MultiPoly | None):
     return axial_moments_brion_density(p, z, j + 1, rho)[j]
 
 
-def _substitute_density(rho, pts):
-    """rho in the barycentric coordinates of the simplex ``pts``, where x_t
-    = sum_i pts[i][t] lambda_i."""
-    n = len(pts)
-    if rho is None:
-        return MultiPoly.constant(n, Fraction(1))
-    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
-    xs = [MultiPoly(n, {u: v[t] for u, v in zip(units, pts)}) for t in range(len(pts[0]))]
-    total = MultiPoly(n, {})
-    for exp, coef in rho.terms.items():
-        term = MultiPoly.constant(n, coef)
-        for x, e in zip(xs, exp):
-            if e:
-                term = term * x**e
-        total = total + term
-    return total
-
-
 def _geometric_pass(h, c):
     """Multiply the truncated series h by 1/(1 - c t), in place."""
     for j in range(1, len(h)):
@@ -315,43 +300,61 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     barycentric coordinates, R(lambda) = sum_a r_a lambda^a, Dirichlet's
     formula gives the closed form
     mu_j += vol * sum_a r_a a! j!/(d+|a|+j)! H_j^(a)(c),
-    where sum_j H_j^(a)(c) t^j = prod_i (1 - c_i t)^-(a_i+1).
+    where sum_j H_j^(a)(c) t^j = prod_i (1 - c_i t)^-(a_i+1). With X = V x,
+    z = coords / q and rho = sum_m R_m x^m / rden on integers, rden V^top rho
+    = sum_m R_m V^(top-|m|) X^m, c_i = <X_i, coords> / (V q) and the X edges
+    have |det| V^d vol: all simplices add to integer sums, divided once per
+    moment by rden V^(d+top) (j+d+top)!/j! (V q)^j. Float data has V = q =
+    rden = 1.
     """
     d = p.dim
-    coords, q = integerize(_direction_coords(z))
-    out = [0] * count
+    rho = MultiPoly.constant(d, 1) if rho is None else rho
+    flat = [x for v in p.vertices for x in v]
+    coords = _direction_coords(z)
+    coefs = list(rho.terms.values())
+    exact = not any(isinstance(x, float) for x in (*flat, *coords, *coefs))
+    if not exact:  # then all floats: scales such as q^j would outgrow the float range
+        flat, coords, coefs = ([float(x) for x in xs] for xs in (flat, coords, coefs))
+    flat, scale = integerize(flat)
+    coords, q = integerize(coords)
+    coefs, rden = integerize(coefs)
+    top = rho.degree
+    folded = [(m, r * scale ** (top - sum(m))) for m, r in zip(rho.terms, coefs)]
+    vertices = [flat[i:i + d] for i in range(0, len(flat), d)]
+    units = [tuple(int(i == k) for k in range(d + 1)) for i in range(d + 1)]
+    sums = [[0] * count for _ in range(top + 1)]  # vol a! r_a H_j^(a) per |a|
     for simplex in triangulation_of(p):
-        pts = [p.vertices[i] for i in simplex]
-        edges = [[pts[j][t] - pts[0][t] for t in range(d)] for j in range(1, d + 1)]
-        vol = abs(linalg.det_exact(edges))
+        pts = [vertices[i] for i in simplex]
+        vol = abs(linalg.det_exact([[a - b for a, b in zip(v, pts[0])] for v in pts[1:]]))
         if vol == 0:
             raise InputError(f"degenerate simplex {simplex}")
-        # c_i = projs[i] / scale, so h_j(c) = h_j(projs) / scale^j
-        projs, scale = integerize([dot(v, coords) for v in pts])
+        vol = vol.numerator if vol.denominator == 1 else float(vol)  # an int on exact data
+        # rden V^top rho in barycentric coordinates: X_t = sum_i pts[i][t] lambda_i
+        xs = [MultiPoly(d + 1, {u: v[t] for u, v in zip(units, pts)}) for t in range(d)]
+        density = sum((prod((x**e for x, e in zip(xs, m) if e), start=MultiPoly.constant(d + 1, r))
+                       for m, r in folded), MultiPoly(d + 1, {}))
+        projs = [dot(v, coords) for v in pts]
         # H^(0): the complete homogeneous symmetric polynomials h_j
         base = [1] + [0] * (count - 1)
         for c in projs:
             _geometric_pass(base, c)
-        density = _substitute_density(rho, pts)
-        coefs, den = integerize([vol * r for r in density.terms.values()])
-        # j!/(j+d+s)! = falling(j+d+top, top-s) / falling(j+d+top, d+top)
-        top = density.degree
-        acc = [0] * count
-        for exp, coef in zip(density.terms, coefs):
+        for exp, coef in density.terms.items():
             h = list(base)
             for c, e in zip(projs, exp):
                 for _ in range(e):
                     _geometric_pass(h, c)
-            s = sum(exp)
-            weight = coef * mfactorial(exp)
+            weight = vol * coef * mfactorial(exp)
+            row = sums[sum(exp)]
             for j in range(count):
-                acc[j] = acc[j] + weight * falling(j + d + top, top - s) * h[j]
-        # mu_j(z) = mu_j(q z) / q^j, folded into the one division
-        for j, fall in enumerate(falling_column(d + top, count)):
-            out[j] = out[j] + exact_div(acc[j], den * (scale * q) ** j * fall)
-    if p.vertices and isinstance(p.vertices[0][0], float):
-        return [float(x) for x in out]
-    return out
+                row[j] = row[j] + weight * h[j]
+    # j!/(j+d+s)! = falling(j+d+top, top-s) / falling(j+d+top, d+top)
+    out = []
+    unit = rden * scale ** (d + top)
+    for j, fall in enumerate(falling_column(d + top, count)):
+        total = sum(falling(j + d + top, top - s) * row[j] for s, row in enumerate(sums))
+        out.append(exact_div(total, unit * fall))
+        unit *= scale * q
+    return out if exact else [float(x) for x in out]
 
 
 def axial_moment_direct(p: Polytope, z, j: int, rho: MultiPoly | None = None):

@@ -230,8 +230,9 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative polynomial power")
-        # one factor at a time, so float coefficients round as in x * x * ... * x
-        result = MultiPoly.constant(self.dim, Fraction(1))
+        # one factor at a time, so float coefficients round as in x * x * ... * x;
+        # the int 1 keeps integer coefficients ints
+        result = MultiPoly.constant(self.dim, 1)
         for _ in range(n):
             result = result * self
         return result

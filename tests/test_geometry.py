@@ -1,5 +1,6 @@
 """Polytope structure, triangulation, and direction sampling."""
 
+import functools
 import json
 from fractions import Fraction
 from random import Random
@@ -11,6 +12,7 @@ from polymom.errors import InputError
 from polymom.geometry import (
     Polytope,
     TangentCone,
+    _angular_order,
     check_distinct_projections,
     fan_triangulate_2d,
     polytope_from_json,
@@ -146,6 +148,44 @@ class TestFanTriangulation:
             )
             # vertices are already in hull (counterclockwise) order
             assert total == abs(shoelace)
+
+
+def _fraction_angular_order(vertices):
+    """The angular order by Fraction cross products around the centroid."""
+    n = len(vertices)
+    cx = sum((v[0] for v in vertices), F(0)) / n
+    cy = sum((v[1] for v in vertices), F(0)) / n
+
+    def key(i):
+        x, y = vertices[i][0] - cx, vertices[i][1] - cy
+        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+    def cmp(i, j):
+        if key(i) != key(j):
+            return key(i) - key(j)
+        (ax, ay), (bx, by) = vertices[i], vertices[j]
+        cr = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    return sorted(range(n), key=functools.cmp_to_key(cmp))
+
+
+class TestAngularOrder:
+    def test_matches_fraction_order(self, rng):
+        for _ in range(40):
+            verts = list(random_polygon(rng).vertices)
+            rng.shuffle(verts)
+            for pts in (verts, [tuple(float(x) for x in v) for v in verts]):
+                assert _angular_order(pts) == _fraction_angular_order(pts)
+
+    def test_points_level_with_the_centroid(self):
+        # centroid (1/2, 0): vertices 1 and 3 sit level with it on either
+        # side, so the half-plane test alone places them
+        verts = [(F(1, 2), F(1)), (F(3), F(0)), (F(1, 2), F(-1)), (F(-2), F(0))]
+        for pts in (verts, [tuple(float(x) for x in v) for v in verts]):
+            assert _angular_order(pts) == _fraction_angular_order(pts) == [1, 0, 3, 2]
+            p = Polytope(dim=2, vertices=tuple(pts))
+            assert fan_triangulate_2d(p) == ((0, 3, 2), (0, 2, 1))
 
 
 class TestSimplexCones:

@@ -18,6 +18,7 @@ from conftest import (
     unit_square,
     unit_triangle,
 )
+from polymom import moments
 from polymom.errors import DenominatorVanishes, InputError, InsufficientMoments
 from polymom.geometry import (
     Polytope,
@@ -329,6 +330,74 @@ class TestClosedForms:
         for count in (0, 3):
             with pytest.raises(InputError, match="degenerate"):
                 axial_moments_direct(flat, (F(1), F(2)), count)
+
+
+def _ladder_polygon(n):
+    """The polygon (k, k^2/7), k < n: n - 2 fan simplices."""
+    return Polytope(dim=2, vertices=tuple((F(k), F(k * k, 7)) for k in range(n)))
+
+
+# <edge, z> = dk (2 + 5 (k + k') / 7) / 1009 never vanishes on the ladder polygons
+LADDER_Z = (F(2, 1009), F(5, 1009))
+LADDER_RHO = MultiPoly(2, {(0, 0): F(3), (1, 0): F(1, 2), (2, 0): F(1, 3),
+                           (1, 1): F(-2, 5), (0, 2): F(1)})
+
+
+class TestDirectOnIntegers:
+    """The direct route sums every simplex over one denominator."""
+
+    def test_one_division_per_moment(self, monkeypatch):
+        p = _ladder_polygon(8)
+        assert len(triangulation_of(p)) == 6
+        divisors = []
+
+        def counting(value, divisor):
+            divisors.append(divisor)
+            return exact_div(value, divisor)
+
+        monkeypatch.setattr(moments, "exact_div", counting)
+        out = axial_moments_direct(p, LADDER_Z, 10, LADDER_RHO)
+        monkeypatch.undo()
+        assert len(divisors) == 10
+        assert out == _direct_reference(p, LADDER_Z, 10, LADDER_RHO)
+        assert out == axial_moments_brion_density(p, LADDER_Z, 10, LADDER_RHO)
+
+    @pytest.mark.parametrize("rho", [None, LADDER_RHO], ids=["uniform", "density"])
+    def test_mixed_exact_and_float_inputs(self, rho):
+        p = _ladder_polygon(6)
+        pf, zf = polytope_to_float(p), tuple(float(x) for x in LADDER_Z)
+        count = 12
+        cases = [
+            (pf, LADDER_Z, _as_rational(pf), LADDER_Z),  # exact direction, float polytope
+            (p, zf, p, tuple(map(F, zf))),  # float direction, exact polytope
+        ]
+        for poly, z, exact_poly, exact_z in cases:
+            out = axial_moments_direct(poly, z, count, rho)
+            assert len(out) == count
+            assert all(type(m) is float for m in out)
+            exact = axial_moments_direct(exact_poly, exact_z, count, rho)
+            assert _relative_error(out, exact) <= 1e-12
+
+    def test_counts_zero_and_one(self):
+        p = _ladder_polygon(8)
+        pf, zf = polytope_to_float(p), tuple(float(x) for x in LADDER_Z)
+        for rho in (None, LADDER_RHO):
+            assert axial_moments_direct(p, LADDER_Z, 0, rho) == []
+            assert axial_moments_direct(pf, zf, 0, rho) == []
+            mass = axial_moments_direct(p, LADDER_Z, 1, rho)
+            assert mass == axial_moments_brion_density(p, LADDER_Z, 1, rho)
+            assert type(mass[0]) is Fraction
+            (approx,) = axial_moments_direct(pf, zf, 1, rho)
+            assert type(approx) is float and _relative_error([approx], mass) <= 1e-12
+        vs = p.vertices
+        area = abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(vs, vs[1:] + vs[:1]))) / 2
+        assert axial_moments_direct(p, LADDER_Z, 1) == [area]
+
+    def test_degenerate_simplex_rejected_at_count_zero(self):
+        flat = Polytope(dim=2, vertices=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),
+                        simplices=((0, 1, 2),))
+        with pytest.raises(InputError, match="degenerate"):
+            axial_moments_direct(flat, (0.5, 0.25), 0, LADDER_RHO)
 
 
 def _cone_weight_reference(cone, z):

@@ -117,6 +117,15 @@ class TestPolyParse:
         assert sorted(parts) == [0, 1, 2]
         assert parts[2].terms == {(1, 1): 3}
 
+    def test_integer_power_stays_on_ints(self):
+        p = MultiPoly(3, {(1, 0, 0): 2, (0, 1, 1): -3, (0, 0, 0): 5})
+        q = MultiPoly(3, {e: Fraction(c) for e, c in p.terms.items()})
+        for n in range(5):
+            power = p**n
+            assert all(type(c) is int for c in power.terms.values()), n
+            assert power == q**n
+        assert p**0 == MultiPoly.constant(3, 1)
+
 
 def _random_multipoly(rng, dim, degree):
     from random import Random
