@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 from . import linalg
 from .errors import InputError
@@ -70,6 +70,30 @@ class Polytope:
         vertices = tuple(flat[i:i + d] for i in range(0, len(flat), d))
         return scale, vertices, tuple(table)
 
+    @functools.cached_property
+    def cone_arrays(self):
+        """``cone_table`` as float arrays for the float vertex sum, built
+        once: (points, edges, dets, index). The rows of ``points`` are the
+        vertices of the sum's terms: one per cone when the cones are given
+        (``index`` None), else the triangulation's vertices in sorted order,
+        with ``index`` the row of each cone's vertex. Per cone, ``edges``
+        holds its d edges and ``dets`` its |det|."""
+        # imported here, not at the top: numpy loaded before the package's
+        # other modules raises the peak memory of importing them from source
+        import numpy as np
+
+        _, vertices, cones = self.cone_table
+        rows = [c.vertex for c, _, _ in cones]
+        index = None
+        if self.cones is None:
+            position = {v: r for r, v in enumerate(sorted(set(rows)))}
+            rows, index = list(position), np.array([position[v] for v in rows])
+        d = self.dim
+        points = np.array([vertices[v] for v in rows], dtype=float).reshape(len(rows), d)
+        edges = np.array([e for _, e, _ in cones], dtype=float).reshape(len(cones), d, d)
+        dets = np.array([float(det) for _, _, det in cones])
+        return points, edges, dets, index
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -118,7 +142,8 @@ def _cross2(o, a, b):
 def _angular_order(vertices):
     """Indices of 2-d points sorted counterclockwise around their centroid,
     compared on the offsets from it, which ``integerize`` scales to ints by
-    one positive factor for exact data."""
+    one positive factor for exact data; and those integer offsets, or None
+    for float data."""
     n = len(vertices)
     cx = sum((v[0] for v in vertices), Fraction(0)) / n
     cy = sum((v[1] for v in vertices), Fraction(0)) / n
@@ -133,28 +158,27 @@ def _angular_order(vertices):
         cr = xi * yj - yi * xj
         return (cr < 0) - (cr > 0)
 
-    return sorted(range(n), key=functools.cmp_to_key(cmp))
+    order = sorted(range(n), key=functools.cmp_to_key(cmp))
+    return order, offsets if all(isinstance(x, int) for x in flat) else None
 
 
 def fan_triangulate_2d(p: Polytope):
     """Fan triangulation of a convex polygon: N-2 triangles sharing vertex 0.
 
     Vertices may be listed in any order; they are sorted angularly around
-    the centroid and checked for strict convexity first.
+    the centroid and checked for strict convexity first. On exact data the
+    check compares the signs of cross products of the integer offsets,
+    which are those of the vertices' own (times one positive square).
     """
     if p.dim != 2:
         raise InputError("fan triangulation requires dim 2")
     n = p.n_vertices
     if n < 3:
         raise InputError("need at least 3 vertices")
-    order = _angular_order(p.vertices)
+    order, offsets = _angular_order(p.vertices)
+    points = p.vertices if offsets is None else offsets
     for k in range(n):
-        a, b, c = (
-            p.vertices[order[k]],
-            p.vertices[order[(k + 1) % n]],
-            p.vertices[order[(k + 2) % n]],
-        )
-        cr = _cross2(a, b, c)
+        cr = _cross2(*(points[order[(k + i) % n]] for i in range(3)))
         if cr == 0:
             raise InputError("collinear vertex triple: zero-area triangle")
         if cr < 0:
@@ -184,7 +208,7 @@ def triangulation_of(p: Polytope):
 
 def polygon_cones(p: Polytope):
     """Tangent cones of a convex polygon: the two incident edge vectors."""
-    order = _angular_order(p.vertices)
+    order, _ = _angular_order(p.vertices)
     n = len(order)
     cones = []
     for k, idx in enumerate(order):
@@ -255,16 +279,33 @@ def simplex_volume(vertices, simplex):
     return abs(linalg.det_exact(m)) / factorial(d)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below _MR_BOUND, and with the first 4 for every n below 3,215,031,751
+# (Jaeschke, Math. Comp. 1993; Sorenson & Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Primality by deterministic Miller-Rabin below ``_MR_BOUND``, a few
+    modular powers per call; larger n are trial-divided."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_BOUND:
+        return all(n % f for f in range(_MR_BASES[-1] + 2, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES[:4] if n < 3215031751 else _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -14,7 +14,11 @@ closed form:
   form (the Taylor parts of a cone weight are complete homogeneous
   polynomials in <w_k,h>/<w_k,z>), on integers for exact data, and every
   moment index is then one integer sum over one divisor (Baldoni, Berline,
-  De Loera, Koeppe & Vergne, Math. Comp. 2011).
+  De Loera, Koeppe & Vergne, Math. Comp. 2011). Float data runs on numpy
+  arrays: the cone table's (``Polytope.cone_arrays``) for the uniform sum,
+  one vertex x piece x moment array for a density's moment loop, each
+  with the operations of the scalar loop in its order, so the floats are
+  those of that loop bit for bit.
 * ``direct``: simplex-by-simplex integration through barycentric
   coordinates. With the density written as sum_a r_a lambda^a and
   c_i = <v_i,z>, Dirichlet's formula gives
@@ -28,7 +32,7 @@ closed form:
   two stay independent checks of each other.
 
 All computations are mode-agnostic: exact inputs stay exact, float inputs
-produce floats.
+produce floats, and mixed inputs run on floats.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, lcm, prod
+from math import comb, factorial, inf, lcm, perm, prod
 from random import Random
 
 import numpy as np
@@ -58,7 +62,6 @@ from .geometry import (
 from .numeric import (
     EXACT,
     FLOAT,
-    Jet,
     MultiPoly,
     exact_div,
     falling,
@@ -81,51 +84,68 @@ def _edge_values(cone, edges, z):
     own edge, when one vanishes."""
     values = [dot(e, z) for e in edges]
     for w, s in zip(cone.edges, values):
-        if (s.value() if isinstance(s, Jet) else s) == 0:
+        if s == 0:
             raise DenominatorVanishes(cone.vertex, tuple(w))
     return values
 
 
-def vertex_weight_terms(p: Polytope, z):
-    """Pairs (<v,z>, D-tilde_v(z)) per vertex of P, from ``p.cone_table``.
-
-    ``z`` may hold scalars or jets. Simple-cone data is preferred; without
-    it the weights are accumulated over a triangulation (the D-tilde of the
-    non-simple case).
-    """
+def _brion_direction(p: Polytope, z):
+    """(coords, q) with z = coords / q: integers over their common
+    denominator, except on a float polytope, where the direction runs on
+    floats (float powers of q-scaled projections overflow)."""
     coords = _direction_coords(z)
-    scale, vertices, cones = p.cone_table
-    terms = [(c.vertex, det / prod(_edge_values(c, edges, coords))) for c, edges, det in cones]
-    if p.cones is None:
-        weights = {}
-        for v, w in terms:
-            weights[v] = weights[v] + w if v in weights else w
-        terms = sorted(weights.items())
-    if scale not in (None, 1):  # <v, z> = <V v, z / V>, scaled once, not per vertex
-        coords = [exact_div(x, scale) for x in coords]
-    return [(dot(vertices[v], coords), w) for v, w in terms]
+    if p.cone_table[0] is None:
+        return tuple(map(float, coords)), 1
+    return integerize(coords)
+
+
+def _exact_data(p: Polytope, coords):
+    return p.cone_table[0] is not None and all(isinstance(x, int) for x in coords)
+
+
+def _dots(rows, z):
+    """<row, z> over the last axis, one coordinate at a time, in the order
+    ``dot`` adds them (from the int 0: 0 + x turns -0.0 into 0.0)."""
+    total = rows[..., 0] * z[0] + 0.0
+    for t in range(1, len(z)):
+        total += rows[..., t] * z[t]
+    return total
+
+
+def _left_sum(rows):
+    """rows[0] + rows[1] + ... over axis 0, one row at a time, as a scalar
+    loop from the int 0 adds them: the running sums accumulate in order,
+    and + 0.0 turns a sum of -0.0 into 0.0 as 0 + (-0.0) does."""
+    return np.add.accumulate(rows, axis=0)[-1] + 0.0
 
 
 def axial_moments_brion(p: Polytope, z, count: int):
     """Moments mu_0 .. mu_{count-1} for uniform density via the vertex sum:
     exact data runs the density sum ``_brion_sum`` with the one piece 1 on
-    the integers of ``p.cone_table``. Float data runs the products, vertex
-    sums and divisions on one vertex x moment array."""
+    the integers of ``p.cone_table``. Float data runs on its arrays
+    (``Polytope.cone_arrays``): the edge products and weights of all cones
+    at once, then the moment loop of ``_float_brion_sum`` with the one
+    weight 1, each in the order of the scalar loop they replace."""
     d = p.dim
-    coords, q = integerize(_direction_coords(z))
-    if p.cone_table[0] is not None and all(isinstance(x, int) for x in coords):
+    coords, q = _brion_direction(p, z)
+    if _exact_data(p, coords):
         return _brion_sum(p, coords, q, count, [MultiPoly.constant(d, 1)])
-    # row v: n_v^d f_v, then n_v; cumprod multiplies in that order
-    terms = vertex_weight_terms(p, coords)
-    powers = np.empty((len(terms), count))
-    for row, (n, f) in zip(powers, terms):
-        row[:1], row[1:] = n**d * f, n
-    total = np.zeros(count)
-    for row in np.cumprod(powers, axis=1):
-        total += row
-    falls = [float(f) for f in falling_column(d, count)]
-    out = ((-1) ** d * total / falls).tolist()
-    return out if q == 1 else [m / q**j for j, m in enumerate(out)]  # mu_j(q z) / q^j
+    scale, _, cones = p.cone_table
+    points, edges, dets, index = p.cone_arrays
+    values = _dots(edges, coords)
+    zero = values == 0
+    if zero.any():  # the first cone in table order, and its first such edge
+        c, k = np.argwhere(zero)[0]
+        raise DenominatorVanishes(cones[c][0].vertex, tuple(cones[c][0].edges[k]))
+    weights = dets / np.multiply.accumulate(values, axis=1)[:, -1]
+    if index is not None:  # summed per vertex in cone order; -0.0 + w is w
+        weights, cone_weights = np.full(len(points), -0.0), weights
+        np.add.at(weights, index, cone_weights)
+    if scale not in (None, 1):  # <v, z> = <V v, z / V>
+        coords = [x / scale for x in coords]
+    projs = _dots(points, coords)
+    run = np.array([n**d for n in projs.tolist()]) * weights
+    return _float_brion_sum(projs, [run], np.ones((1, count)), falling_column(d, count), (-1) ** d)
 
 
 def axial_moment_brion(p: Polytope, z, j: int):
@@ -189,7 +209,7 @@ def _vertex_contractions(p: Polytope, coords, pieces):
     integer z stay on integers, one den per piece; float data keeps den 1.
     """
     scale, vertices, cones = p.cone_table
-    exact = scale is not None and all(isinstance(x, int) for x in coords)
+    exact = _exact_data(p, coords)
     degrees = [piece.degree for piece in pieces]
     top = max(degrees, default=0)
     cone_data = []
@@ -252,18 +272,42 @@ def _brion_sum(p: Polytope, coords, q: int, count: int, pieces):
         factor = den // piece_den * scale ** (top - s)
         for i in range(s + 1):
             groups.append((s, i, factor, [n ** (d + s - i) * f[i] for n, f in zip(projs, rows)]))
-    sign = (-1) ** d
+    # per group and moment, falling(j+d+T, T-s) times the group's factor and C(j+d+s, i)
+    weights = [[perm(j + d + top, top - s) * factor * comb(j + d + s, i) for j in range(count)]
+               for s, i, factor, _ in groups]
+    divisors = []
     unit = den * scale ** (d + top)
+    for fall in falling_column(d + top, count):
+        divisors.append(fall * unit)
+        unit *= scale * q
+    sign = (-1) ** d
+    runs = [run for *_, run in groups]
+    if not _exact_data(p, coords):
+        weights = np.array([[float(w) for w in column] for column in weights])
+        return _float_brion_sum(projs, runs, weights.reshape(len(runs), count), divisors, sign)
     out = []
-    for j, fall in enumerate(falling_column(d + top, count)):
+    for j, divisor in enumerate(divisors):
         total = 0
-        for s, i, factor, run in groups:
-            total = total + falling(j + d + top, top - s) * factor * comb(j + d + s, i) * sum(run)
-        out.append(exact_div(sign * total, fall * unit))
+        for column, run in zip(weights, runs):
+            total = total + column[j] * sum(run)
+        out.append(exact_div(sign * total, divisor))
         if j + 1 < count:
-            unit *= scale * q
-            groups = [(s, i, f, [t * n for t, n in zip(run, projs)]) for s, i, f, run in groups]
+            runs = [[t * n for t, n in zip(run, projs)] for run in runs]
     return out
+
+
+def _float_brion_sum(projs, runs, weights, divisors, sign):
+    """The moment loop of ``_brion_sum`` on float arrays, in the order of
+    its scalar loop: each group's running value at vertex v is the
+    cumulative product of its first value and then n_v along j, the
+    vertices are added one at a time, and the groups, each times its
+    integer weight rounded once (``weights``, group x moment), too."""
+    count = len(divisors)
+    powers = np.empty((len(projs), len(runs), count))
+    powers[:, :, :1] = np.array(runs, dtype=float).T[:, :, None]
+    powers[:, :, 1:] = np.array(projs)[:, None, None]
+    sums = _left_sum(np.cumprod(powers, axis=2))
+    return (sign * _left_sum(weights * sums) / [float(x) for x in divisors]).tolist()
 
 
 def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | None):
@@ -279,7 +323,7 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
         return axial_moments_brion(p, z, count)
     if rho.is_constant():
         return [rho.constant_value() * m for m in axial_moments_brion(p, z, count)]
-    coords, q = integerize(_direction_coords(z))
+    coords, q = _brion_direction(p, z)
     return _brion_sum(p, coords, q, count, list(rho.homogeneous_parts().values()))
 
 
@@ -655,21 +699,23 @@ class PolytopeMomentOracle:
         return sum(map(len, self._requested.values()))
 
     def _ensure(self, coords, count):
-        if (coords, count - 1) in self._values:
-            return
-        if self.route == "direct":
-            batch = axial_moments_direct(self.polytope, coords, count, self.density)
-        else:
-            batch = axial_moments_brion_density(
-                self.polytope, coords, count, self.density
-            )
-        for j, value in enumerate(batch):
-            key = (coords, j)
-            if key in self._values:
-                continue  # keep the noise drawn the first time
-            if self.noise:
-                value = value * (1.0 + self.rng.uniform(-self.noise, self.noise))
-            self._values[key] = value
+        """The stored values at (coords, j) for j < count, computed as one
+        batch first unless (coords, count - 1) is stored."""
+        values = self._values
+        if (coords, count - 1) not in values:
+            if self.route == "direct":
+                batch = axial_moments_direct(self.polytope, coords, count, self.density)
+            else:
+                batch = axial_moments_brion_density(
+                    self.polytope, coords, count, self.density
+                )
+            if not self.noise:
+                return tuple([values.setdefault((coords, j), value) for j, value in enumerate(batch)])
+            for j, value in enumerate(batch):
+                key = (coords, j)
+                if key not in values:  # keep the noise drawn the first time
+                    values[key] = value * (1.0 + self.rng.uniform(-self.noise, self.noise))
+        return tuple([values[coords, j] for j in range(count)])
 
     def moment(self, z, j: int):
         coords = _direction_coords(z)
@@ -683,14 +729,14 @@ class PolytopeMomentOracle:
     def sequence(self, z, count: int) -> MomentSequence:
         coords = _direction_coords(z)
         _check_index(count)
-        self._ensure(coords, count)
+        moments = self._ensure(coords, count)
         self._requested.setdefault(coords, set()).update(range(count))
         return MomentSequence(
             dim=self.dim,
             direction=coords,
             density_degree=self.density_degree,
             mode=self.mode,
-            moments=tuple(self._values[coords, j] for j in range(count)),
+            moments=moments,
         )
 
 

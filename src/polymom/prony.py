@@ -17,7 +17,9 @@ walks the derivative chain of the remainder. Float mode uses SVD rank
 detection with a relative threshold and companion-matrix eigenvalues with
 root clustering: the Hankel is indexed once into an array, the rank at m
 and at m-1 comes from values-only SVDs of it and of its leading block, and
-one full SVD gives the kernel.
+one reduced SVD of the square Hankel gives the kernel. A combined direction
+of the reconstruction pipeline must show a known rank; a trial whose rank
+at m differs stops after that first SVD.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .errors import (
     RankNotDivisible,
 )
 from .moments import MomentSequence, scaled_moment_vector
-from .numeric import EXACT, FLOAT
+from .numeric import EXACT, FLOAT, falling_column
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_REAL_TOL = 1e-7
@@ -74,7 +77,7 @@ def _svd_rank(a, rank_tol):
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > rank_tol * sigma[0]))
+    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
 
 
 def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
@@ -224,8 +227,8 @@ def minimal_kernel_vector(
 
 def _float_kernel(a, rank: int, mult: int, scale) -> PronyPolynomial:
     """The minimal kernel vector of the float Hankel array a at the given
-    rank, from the trailing right singular vectors of one full SVD."""
-    _, _, vh = np.linalg.svd(a)
+    rank, from the trailing right singular vectors of one SVD."""
+    _, _, vh = np.linalg.svd(a, full_matrices=False)  # a is square: the same vh
     null_basis = vh[rank:].T  # columns span the numerical kernel
     # combine kernel vectors into the shape (a_0..a_{rank-1}, 1, 0, ..., 0):
     # constrain entries rank..m-1 to the pattern (1, 0, ..., 0)
@@ -539,10 +542,7 @@ def _refine_nodes_float(c, nodes, iterations=6):
 def _estimate_scale(c):
     """Node-magnitude estimate from consecutive scaled-moment ratios, used
     to balance the float Hankel matrix before SVD."""
-    ratios = []
-    for a, b in zip(c, c[1:]):
-        if a != 0 and b != 0:
-            ratios.append(abs(float(b) / float(a)))
+    ratios = [abs(float(b) / float(a)) for a, b in zip(c, c[1:]) if a != 0 and b != 0]
     if not ratios:
         return 1.0
     s = max(ratios[len(ratios) // 2 :])
@@ -559,6 +559,25 @@ def _rescale(c, scale):
     for k in range(1, len(c)):
         acc *= scale
         c[k] = c[k] / acc
+
+
+def _scaled_floats(ms: MomentSequence, m: int, cache: dict):
+    """c_1 .. c_{2m-1} of ``scaled_moment_vector`` as a list, for float
+    moments: the factors (-1)^d falling(j+lead, lead), each rounded once to
+    a float and cached per (d, lead, count), times the moments, as
+    ``scaled_moment_vector`` multiplies them. Moments that are not all
+    floats take its exact products."""
+    lead = ms.dim + ms.density_degree
+    need = 2 * m - 1 - lead
+    head = ms.moments[:max(need, 0)]
+    if set(map(type, head)) - {float}:
+        return list(scaled_moment_vector(ms, 2 * m - 2).c)
+    key = (ms.dim, lead, need)
+    factors = cache.get(key)
+    if factors is None:
+        sign = (-1) ** ms.dim
+        factors = cache[key] = [float(sign * f) for f in falling_column(lead, need)]
+    return [0] * min(lead, 2 * m - 1) + list(map(mul, factors, head))
 
 
 def hankel_size(nmax: int, density_degree: int, oversample: int = 0) -> int:
@@ -578,6 +597,9 @@ def prony_polynomial_from_sequence(
     nmax: int,
     rank_tol: float = DEFAULT_RANK_TOL,
     oversample: int = 0,
+    *,
+    _rank: int | None = None,
+    _cache: dict | None = None,
 ) -> PronyPolynomial:
     """Hankel rank detection plus the minimal kernel vector, without root
     extraction (enough for cross-direction matching).
@@ -586,6 +608,13 @@ def prony_polynomial_from_sequence(
     rank differs between sizes m-1 and m, RankNotDivisible when the rank is
     incompatible with the density degree. Exact mode decides all three
     with one Berlekamp-Massey pass over the 2m-1 scaled entries.
+
+    The reconstruction pipeline alone passes ``_rank`` and ``_cache``.
+    ``_rank`` is the rank a combined direction must show: any other raises
+    RankInstability, in float mode as soon as the rank at m is known,
+    before the rank at m-1, the kernel SVD and its least squares.
+    ``_cache`` keeps the float factors of the scaled moments and the Hankel
+    index array from one of the run's solves to the next.
     """
     mult = ms.density_degree + 1
     m = hankel_size(nmax, ms.density_degree, oversample)
@@ -594,18 +623,24 @@ def prony_polynomial_from_sequence(
         raise InsufficientMoments(
             f"need {need} moments for nmax={nmax} (m={m}), have {len(ms.moments)}"
         )
-    c = list(scaled_moment_vector(ms, 2 * m - 2).c)
     if ms.mode == EXACT:
-        coeffs = _exact_kernel(c, m)
+        coeffs = _exact_kernel(list(scaled_moment_vector(ms, 2 * m - 2).c), m)
         if len(coeffs) % mult:
             raise RankNotDivisible(
                 f"rank {len(coeffs)} not divisible by multiplicity {mult}"
             )
+        _check_rank(len(coeffs), _rank)
         return PronyPolynomial(coeffs=coeffs, multiplicity=mult)
+    cache = {} if _cache is None else _cache
+    c = _scaled_floats(ms, m, cache)
     scale = _estimate_scale(c)
     _rescale(c, scale)
-    a = np.array(c, dtype=float)[np.add.outer(np.arange(m), np.arange(m))]
+    index = cache.get(m)
+    if index is None:
+        index = cache[m] = np.add.outer(np.arange(m), np.arange(m))
+    a = np.array(c, dtype=float)[index]
     rank_m = _svd_rank(a, rank_tol)
+    _check_rank(rank_m, _rank)
     rank_prev = _svd_rank(a[:-1, :-1], rank_tol)
     if rank_m == m:
         raise FullRankHankel(
@@ -621,6 +656,11 @@ def prony_polynomial_from_sequence(
             f"rank {rank_m} not divisible by multiplicity {mult}"
         )
     return _float_kernel(a, rank_m, mult, scale)
+
+
+def _check_rank(found, rank):
+    if rank is not None and found != rank:
+        raise RankInstability(f"combined direction rank {found} != {rank}")
 
 
 def projections_from_moments(

@@ -134,7 +134,8 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6)
         with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
             total = np.ones_like(x)
             for a in reversed(pz.coeffs):
-                total = total * x + a
+                total *= x
+                total += a
         return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
     try:
         hit = prony.roots_exact(pz).__contains__
@@ -227,6 +228,7 @@ class _Pipeline:
         self.oversample = FLOAT_OVERSAMPLE if self.config.mode == FLOAT else 0
         # the factor sample_direction scales its draws by
         self.unit = self.config.denominator if self.config.mode == EXACT else 1
+        self.hankel_arrays = {}  # the float Prony arrays shared by this run's solves
 
     def sample_direction(self):
         """A draw z of ``sample_generic_direction``; exact mode returns its
@@ -255,15 +257,10 @@ class _Pipeline:
         """Kernel polynomial of a combined direction, on which all n
         vertices must show; any other rank raises RankInstability."""
         ms = sequence_from_oracle(self.oracle, coords, n, self.oversample)
-        pz = prony_polynomial_from_sequence(
-            ms, n, self.config.rank_tol, self.oversample
+        return prony_polynomial_from_sequence(
+            ms, n, self.config.rank_tol, self.oversample,
+            _rank=(self.oracle.density_degree + 1) * n, _cache=self.hankel_arrays,
         )
-        rank = (self.oracle.density_degree + 1) * n
-        if pz.degree != rank:
-            raise RankInstability(
-                f"combined direction rank {pz.degree} != {rank}"
-            )
-        return pz
 
     def acquire(self, existing=(), n=None):
         """A fresh direction, linearly independent of ``existing``, and its

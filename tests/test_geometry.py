@@ -13,6 +13,7 @@ from polymom.geometry import (
     Polytope,
     TangentCone,
     _angular_order,
+    _is_prime,
     check_distinct_projections,
     fan_triangulate_2d,
     polytope_from_json,
@@ -176,16 +177,115 @@ class TestAngularOrder:
             verts = list(random_polygon(rng).vertices)
             rng.shuffle(verts)
             for pts in (verts, [tuple(float(x) for x in v) for v in verts]):
-                assert _angular_order(pts) == _fraction_angular_order(pts)
+                assert _angular_order(pts)[0] == _fraction_angular_order(pts)
 
     def test_points_level_with_the_centroid(self):
         # centroid (1/2, 0): vertices 1 and 3 sit level with it on either
         # side, so the half-plane test alone places them
         verts = [(F(1, 2), F(1)), (F(3), F(0)), (F(1, 2), F(-1)), (F(-2), F(0))]
         for pts in (verts, [tuple(float(x) for x in v) for v in verts]):
-            assert _angular_order(pts) == _fraction_angular_order(pts) == [1, 0, 3, 2]
+            assert _angular_order(pts)[0] == _fraction_angular_order(pts) == [1, 0, 3, 2]
             p = Polytope(dim=2, vertices=tuple(pts))
             assert fan_triangulate_2d(p) == ((0, 3, 2), (0, 2, 1))
+
+
+def _vertex_check_fan(p):
+    """The fan triangulation with its convexity check on Fraction cross
+    products of the vertices themselves, kept as the reference."""
+    n = p.n_vertices
+    order = _fraction_angular_order(p.vertices)
+    for k in range(n):
+        o, a, b = (p.vertices[order[(k + i) % n]] for i in range(3))
+        cr = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        if cr == 0:
+            raise InputError("collinear vertex triple: zero-area triangle")
+        if cr < 0:
+            raise InputError("vertices are not in convex position")
+    start = order.index(0)
+    cyc = order[start:] + order[:start]
+    return tuple((0, cyc[k], cyc[k + 1]) for k in range(1, n - 1))
+
+
+def _fan_outcome(fan, p):
+    try:
+        return fan(p)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestFanConvexityCheck:
+    def test_matches_the_vertex_check(self, rng):
+        outcomes = set()
+        for _ in range(60):
+            verts = list(random_polygon(rng).vertices)
+            (ax, ay), (bx, by) = verts[0], verts[1]
+            kind = rng.randrange(3)
+            if kind == 1:  # a point on an edge: a collinear triple
+                verts.append(((ax + bx) / 2, (ay + by) / 2))
+            elif kind == 2:  # a point just inside that edge: not convex
+                cx = sum(v[0] for v in verts) / len(verts)
+                cy = sum(v[1] for v in verts) / len(verts)
+                verts.append(((ax + bx) * F(9, 20) + cx / 10, (ay + by) * F(9, 20) + cy / 10))
+            rng.shuffle(verts)
+            for pts in (verts, [tuple(float(x) for x in v) for v in verts]):
+                p = Polytope(dim=2, vertices=tuple(pts))
+                want = _fan_outcome(_vertex_check_fan, p)
+                assert _fan_outcome(fan_triangulate_2d, p) == want
+                outcomes.add(want if isinstance(want, str) else "ok")
+        assert len(outcomes) == 3
+
+
+def _trial_division_prime(n):
+    """The primality check before Miller-Rabin, kept as the reference."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _reference_draw(dim, r, rng, mode):
+    """The direction draw with the trial-division check, kept as the
+    reference."""
+    if r < 2 or not _trial_division_prime(r):
+        raise InputError(f"denominator {r} must be a prime >= 2")
+    draws = [rng.randrange(r) for _ in range(dim)]
+    if mode == "float":
+        return tuple(k / r for k in draws)
+    return tuple(F(k, r) for k in draws)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        rng = Random(3)
+        # strong pseudoprimes to the base 2, to 2..7 (the first at the
+        # four-base bound) and to 2..13; a product of two primes
+        hard = [2047, 3277, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 1000003 * 1000033]
+        samples = [*range(-2, 30000), *hard, *(rng.randrange(10**6, 10**9) for _ in range(300))]
+        for n in samples:
+            assert _is_prime(n) == _trial_division_prime(n), n
+        # strong pseudoprimes to 2..17 and 2..23, beyond trial division here
+        assert not _is_prime(341550071728321) and not _is_prime(3825123056546413051)
+        assert _is_prime(2**61 - 1)
+
+    def test_draws_are_unchanged(self):
+        for r in (2, 1009, 10007, 1000003, 1000001, 1, 9):
+            for mode in ("exact", "float"):
+                a, b = Random(r), Random(r)
+                for dim in (1, 2, 3):
+                    try:
+                        want = _reference_draw(dim, r, a, mode)
+                    except InputError as exc:
+                        with pytest.raises(InputError, match=str(exc)):
+                            sample_generic_direction(dim, r, b, mode)
+                        continue
+                    assert sample_generic_direction(dim, r, b, mode).coords == want
 
 
 class TestSimplexCones:

@@ -2,7 +2,9 @@
 
 import json
 from fractions import Fraction
-from math import factorial, lcm
+from functools import reduce
+from math import comb, factorial, isfinite, lcm, prod
+from operator import add
 from random import Random
 
 import pytest
@@ -50,14 +52,15 @@ from polymom.moments import (
     scaled_moment_vector,
     triangulation_of,
     vertex_side_scaled_entry,
-    vertex_weight_terms,
     _vertex_contractions,
 )
 from polymom.numeric import (
+    Jet,
     MultiPoly,
     exact_div,
     extract_diff,
     falling,
+    falling_column,
     integerize,
     jet_variables,
     mfactorial,
@@ -65,6 +68,31 @@ from polymom.numeric import (
 )
 
 F = Fraction
+
+
+def vertex_weight_terms(p, z):
+    """Pairs (<v,z>, D-tilde_v(z)) per vertex of P from ``p.cone_table``,
+    one cone at a time: the scalar form of the weights that the float route
+    computes on ``Polytope.cone_arrays``. ``z`` may hold scalars or jets.
+    Without simple cones the weights are accumulated over the
+    triangulation (the D-tilde of the non-simple case)."""
+    coords = tuple(z)
+    scale, vertices, cones = p.cone_table
+    terms = []
+    for c, edges, det in cones:
+        values = [dot(e, coords) for e in edges]
+        for w, s in zip(c.edges, values):
+            if (s.value() if isinstance(s, Jet) else s) == 0:
+                raise DenominatorVanishes(c.vertex, tuple(w))
+        terms.append((c.vertex, det / prod(values)))
+    if p.cones is None:
+        weights = {}
+        for v, w in terms:
+            weights[v] = weights[v] + w if v in weights else w
+        terms = sorted(weights.items())
+    if scale not in (None, 1):  # <v, z> = <V v, z / V>, scaled once, not per vertex
+        coords = [exact_div(x, scale) for x in coords]
+    return [(dot(vertices[v], coords), w) for v, w in terms]
 
 
 class TestDirectIntegration:
@@ -468,9 +496,10 @@ class TestUniformBrionOnIntegers:
     def test_float_is_the_old_float_path(self):
         for p, _, z, count in _closed_form_cases(11, 24):
             pf, zf = polytope_to_float(p), tuple(float(x) for x in z)
-            # float direction, and exact direction on a float polytope
+            # float direction, and exact direction on a float polytope, which
+            # runs on the float direction
             for w in (zf, z):
-                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, w, count)
+                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, zf, count)
 
 
 def _without_cones(p):
@@ -481,6 +510,102 @@ def _integer_polytope(p, factor):
     """factor * P with integer vertices, its cones and triangulation kept."""
     scaled = tuple(tuple(int(x * factor) for x in v) for v in p.vertices)
     return Polytope(dim=p.dim, vertices=scaled, cones=p.cones, simplices=p.simplices)
+
+
+def _float_brion_sum_reference(p, coords, q, count, pieces):
+    """The scalar moment loop of ``_brion_sum`` before its float arrays,
+    kept as the reference. Its vertex sums add from the left, as ``sum``
+    did on floats before Python 3.12."""
+    d = p.dim
+    projs, scale, tables = _vertex_contractions(p, coords, pieces)
+    top = max(piece.degree for piece in pieces)
+    den = lcm(*(t[0] for t in tables))
+    groups = []  # (s, i, factor, running values)
+    for piece, (piece_den, rows) in zip(pieces, tables):
+        s = piece.degree
+        factor = den // piece_den * scale ** (top - s)
+        for i in range(s + 1):
+            groups.append((s, i, factor, [n ** (d + s - i) * f[i] for n, f in zip(projs, rows)]))
+    sign = (-1) ** d
+    unit = den * scale ** (d + top)
+    out = []
+    for j, fall in enumerate(falling_column(d + top, count)):
+        total = 0
+        for s, i, factor, run in groups:
+            total = total + falling(j + d + top, top - s) * factor * comb(j + d + s, i) * reduce(add, run, 0)
+        out.append(exact_div(sign * total, fall * unit))
+        if j + 1 < count:
+            unit *= scale * q
+            groups = [(s, i, f, [t * n for t, n in zip(run, projs)]) for s, i, f, run in groups]
+    return out
+
+
+def _outcome(call, *args):
+    """The moments, or the class, vertex and edge of a DenominatorVanishes."""
+    try:
+        return call(*args)
+    except DenominatorVanishes as exc:
+        return DenominatorVanishes, exc.vertex, exc.edge
+
+
+def _edge_normal_directions(p):
+    """Float directions orthogonal to an edge of p: (-e_y, e_x) in the
+    plane, a coordinate axis along which an axis-parallel edge does not
+    move in space; <e, z> is then exactly 0 in floats."""
+    _, _, cones = p.cone_table
+    for _, edges, _ in cones:
+        for e in edges:
+            if p.dim == 2:
+                yield (-float(e[1]), float(e[0]))
+            elif sum(x == 0 for x in e) == p.dim - 1:
+                yield tuple(float(x == 0) * (k + 1) for k, x in enumerate(e))
+
+
+class TestFloatBrionOnArrays:
+    """The float vertex sums on arrays against the scalar loops they
+    replace: equal bit for bit, and a vanishing edge denominator names the
+    same cone and edge."""
+
+    def test_density_sum_is_the_scalar_loop(self):
+        seen = set()
+        for p, rho, z, count in _closed_form_cases(31, 48):
+            pf = polytope_to_float(p)
+            pieces = list(rho.to_float().homogeneous_parts().values())
+            if not pieces:
+                continue
+            directions = [tuple(float(x) for x in z), *list(_edge_normal_directions(pf))[:2]]
+            for w in directions:
+                want = _outcome(_float_brion_sum_reference, pf, w, 1, count, pieces)
+                got = _outcome(moments._brion_sum, pf, w, 1, count, pieces)
+                assert got == want, (p, w)
+                seen.add(type(want))
+        assert seen == {list, tuple}
+
+    def test_uniform_sum_names_the_same_cone_and_edge(self):
+        seen = 0
+        for p, _, _, count in _closed_form_cases(32, 36):
+            for variant in (polytope_to_float(p), polytope_to_float(_without_cones(p))):
+                if variant.cones is None and variant.simplices is None and variant.dim == 3:
+                    continue
+                for w in _edge_normal_directions(variant):
+                    want = _outcome(_uniform_brion_reference, variant, w, count)
+                    assert _outcome(axial_moments_brion, variant, w, count) == want
+                    seen += isinstance(want, tuple)
+        assert seen >= 20
+
+    @pytest.mark.parametrize("rho", [None, LADDER_RHO, LADDER_RHO.to_float()],
+                             ids=["uniform", "density", "float-density"])
+    def test_exact_direction_on_a_float_polytope_runs_on_floats(self, rho):
+        # a sampled direction has denominator 1000003: float powers of the
+        # projections scaled by it overflowed to nan before
+        p = polytope_to_float(_ladder_polygon(12))
+        for seed in range(3):
+            z = sample_generic_direction(2, rng=Random(seed)).coords
+            got = axial_moments_brion_density(p, z, 46, rho)
+            assert got == axial_moments_brion_density(p, tuple(map(float, z)), 46, rho)
+            assert all(type(m) is float and isfinite(m) for m in got)
+            for a, b in zip(got, axial_moments_direct(p, z, 46, rho)):
+                assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
 
 class TestConeTable:
@@ -518,7 +643,7 @@ class TestConeTable:
             pf, zf = polytope_to_float(p), tuple(float(x) for x in z)
             for w in (zf, z):
                 assert vertex_weight_terms(pf, w) == _vertex_weight_terms_reference(pf, w)
-                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, w, count)
+                assert axial_moments_brion(pf, w, count) == _uniform_brion_reference(pf, zf, count)
 
     def test_denominator_vanishes_names_the_given_edge(self):
         half = Polytope(

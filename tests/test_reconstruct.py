@@ -7,6 +7,7 @@ from importlib import import_module
 from math import factorial
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -28,10 +29,11 @@ from polymom.errors import (
     InsufficientMoments,
     IrrationalRoot,
     MatchingFailure,
+    RankInstability,
 )
 from polymom.geometry import dot, polytope_to_float, sample_generic_direction
 from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
-from polymom.prony import PronyPolynomial, moments_needed
+from polymom.prony import PronyPolynomial, moments_needed, prony_polynomial_from_sequence
 from polymom.reconstruct import (
     FLOAT_OVERSAMPLE,
     _Pipeline,
@@ -470,6 +472,11 @@ class TestReconstruct:
         assert oracle.unique_count == 82586
         assert reconstruction_error(cube, vs) <= 1e-6
 
+    def test_float_cube_vertices_to_the_last_bit(self):
+        oracle = PolytopeMomentOracle(unit_cube(), mode="float")
+        vs = reconstruct(oracle, 8, RunConfig(mode="float", seed=1), Random(1))
+        assert vs.vertices == FLOAT_CUBE_VERTICES
+
     @pytest.mark.parametrize("field, value", [
         ("rank_tol", float("nan")), ("rank_tol", 1.5), ("rank_tol", 1.0),
         ("real_tol", float("inf")), ("match_tol", float("nan")),
@@ -509,6 +516,54 @@ class TestReconstruct:
             survived += 1
             assert reconstruction_error(cube, vs) <= 1e-6, seed
         assert survived >= 1
+
+
+# the float cube's vertices under the pipeline draw Random(1), to the last bit
+FLOAT_CUBE_VERTICES = (
+    (-3.807359461058338e-08, 0.9999999659906675, 2.745746742137517e-08),
+    (3.7175962411866827e-09, 2.911531876086223e-09, -2.596353022658279e-09),
+    (3.95600472227585e-09, -7.944132756391049e-09, 0.9999999982950148),
+    (3.5796872132276316e-08, 1.0000000288279092, 0.9999999749616761),
+    (0.999999859667936, -1.1113531890659426e-07, 9.705379597397833e-08),
+    (0.9999999900370344, 1.000000005384501, 6.813600266862457e-09),
+    (0.9999999999662705, 0.9999999999689979, 1.0000000000261404),
+    (1.0000001418443611, 1.1805928789357037e-07, 0.9999998988832391),
+)
+
+
+class TestEarlyRankExit:
+    """A combined-direction trial whose Hankel rank at m is not (D+1) n
+    stops after that one values-only SVD; a trial at the expected rank
+    takes three SVDs and one least-squares solve."""
+
+    def test_svd_and_lstsq_counts(self, monkeypatch):
+        calls = []
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+        def counting_svd(*args, **kwargs):
+            calls.append("svd" if kwargs.get("compute_uv", True) else "values")
+            return svd(*args, **kwargs)
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append("lstsq")
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        oracle = PolytopeMomentOracle(unit_square(), mode="float")
+        pipe = _Pipeline(oracle, 4, RunConfig(mode="float", seed=1), Random(1))
+        coords = (0.3, 0.7)  # projections 0, 0.3, 0.7, 1
+        assert pipe.poly_at(coords, 4).degree == 4
+        assert calls == ["values", "values", "svd", "lstsq"]
+        del calls[:]
+        with pytest.raises(RankInstability, match="rank 4 != 3"):
+            pipe.poly_at(coords, 3)
+        assert calls == ["values"]
+        # the public solve keeps deciding on the ranks alone
+        del calls[:]
+        ms = sequence_from_oracle(oracle, coords, 3, FLOAT_OVERSAMPLE)
+        assert prony_polynomial_from_sequence(ms, 3, 1e-8, FLOAT_OVERSAMPLE).degree == 4
+        assert calls == ["values", "values", "svd", "lstsq"]
 
 
 class TestFrugal:
