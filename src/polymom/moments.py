@@ -16,9 +16,10 @@ closed form:
   moment index is then one integer sum over one divisor (Baldoni, Berline,
   De Loera, Koeppe & Vergne, Math. Comp. 2011). Float data runs on numpy
   arrays: the cone table's (``Polytope.cone_arrays``) for the uniform sum,
-  one vertex x piece x moment array for a density's moment loop, each
-  with the operations of the scalar loop in its order, so the floats are
-  those of that loop bit for bit.
+  one vertex x piece x moment array for the running powers of a density's
+  moment loop, each with the operations of the scalar loop in its order
+  (the density's vertex sums by ``sum``, as that loop takes them), so the
+  floats are those of that loop bit for bit.
 * ``direct``: simplex-by-simplex integration through barycentric
   coordinates. With the density written as sum_a r_a lambda^a and
   c_i = <v_i,z>, Dirichlet's formula gives
@@ -124,8 +125,9 @@ def axial_moments_brion(p: Polytope, z, count: int):
     exact data runs the density sum ``_brion_sum`` with the one piece 1 on
     the integers of ``p.cone_table``. Float data runs on its arrays
     (``Polytope.cone_arrays``): the edge products and weights of all cones
-    at once, then the moment loop of ``_float_brion_sum`` with the one
-    weight 1, each in the order of the scalar loop they replace."""
+    at once, then the running powers of ``_running_values``, their vertex
+    rows added one at a time, each in the order of the scalar loop they
+    replace."""
     d = p.dim
     coords, q = _brion_direction(p, z)
     if _exact_data(p, coords):
@@ -145,7 +147,9 @@ def axial_moments_brion(p: Polytope, z, count: int):
         coords = [x / scale for x in coords]
     projs = _dots(points, coords)
     run = np.array([n**d for n in projs.tolist()]) * weights
-    return _float_brion_sum(projs, [run], np.ones((1, count)), falling_column(d, count), (-1) ** d)
+    sums = _left_sum(_running_values(projs, [run], count)[:, 0])
+    falls = [float(f) for f in falling_column(d, count)]
+    return ((-1) ** d * sums / falls).tolist()
 
 
 def axial_moment_brion(p: Polytope, z, j: int):
@@ -283,8 +287,13 @@ def _brion_sum(p: Polytope, coords, q: int, count: int, pieces):
     sign = (-1) ** d
     runs = [run for *_, run in groups]
     if not _exact_data(p, coords):
+        # each vertex sum by ``sum``, as the loop below takes it (compensated
+        # on floats from Python 3.12 on); the groups added in order, each
+        # times its integer weight rounded once
+        values = _running_values(projs, runs, count).transpose(1, 2, 0).tolist()
+        sums = np.array([[sum(run) for run in group] for group in values])
         weights = np.array([[float(w) for w in column] for column in weights])
-        return _float_brion_sum(projs, runs, weights.reshape(len(runs), count), divisors, sign)
+        return (sign * _left_sum(weights * sums) / [float(x) for x in divisors]).tolist()
     out = []
     for j, divisor in enumerate(divisors):
         total = 0
@@ -296,18 +305,15 @@ def _brion_sum(p: Polytope, coords, q: int, count: int, pieces):
     return out
 
 
-def _float_brion_sum(projs, runs, weights, divisors, sign):
-    """The moment loop of ``_brion_sum`` on float arrays, in the order of
-    its scalar loop: each group's running value at vertex v is the
-    cumulative product of its first value and then n_v along j, the
-    vertices are added one at a time, and the groups, each times its
-    integer weight rounded once (``weights``, group x moment), too."""
-    count = len(divisors)
+def _running_values(projs, runs, count):
+    """The running values of ``_brion_sum``'s moment loop on floats, as one
+    vertex x group x moment array: at vertex v each group's first value,
+    then times n_v once per moment (a cumulative product, in the scalar
+    loop's order)."""
     powers = np.empty((len(projs), len(runs), count))
     powers[:, :, :1] = np.array(runs, dtype=float).T[:, :, None]
     powers[:, :, 1:] = np.array(projs)[:, None, None]
-    sums = _left_sum(np.cumprod(powers, axis=2))
-    return (sign * _left_sum(weights * sums) / [float(x) for x in divisors]).tolist()
+    return np.cumprod(powers, axis=2)
 
 
 def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | None):

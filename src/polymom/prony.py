@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .errors import (
     RankNotDivisible,
 )
 from .moments import MomentSequence, scaled_moment_vector
-from .numeric import EXACT, FLOAT, falling_column
+from .numeric import EXACT, FLOAT
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_REAL_TOL = 1e-7
@@ -77,7 +76,7 @@ def _svd_rank(a, rank_tol):
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    return int(np.sum(sigma > rank_tol * sigma[0]))
 
 
 def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
@@ -542,7 +541,10 @@ def _refine_nodes_float(c, nodes, iterations=6):
 def _estimate_scale(c):
     """Node-magnitude estimate from consecutive scaled-moment ratios, used
     to balance the float Hankel matrix before SVD."""
-    ratios = [abs(float(b) / float(a)) for a, b in zip(c, c[1:]) if a != 0 and b != 0]
+    ratios = []
+    for a, b in zip(c, c[1:]):
+        if a != 0 and b != 0:
+            ratios.append(abs(float(b) / float(a)))
     if not ratios:
         return 1.0
     s = max(ratios[len(ratios) // 2 :])
@@ -559,25 +561,6 @@ def _rescale(c, scale):
     for k in range(1, len(c)):
         acc *= scale
         c[k] = c[k] / acc
-
-
-def _scaled_floats(ms: MomentSequence, m: int, cache: dict):
-    """c_1 .. c_{2m-1} of ``scaled_moment_vector`` as a list, for float
-    moments: the factors (-1)^d falling(j+lead, lead), each rounded once to
-    a float and cached per (d, lead, count), times the moments, as
-    ``scaled_moment_vector`` multiplies them. Moments that are not all
-    floats take its exact products."""
-    lead = ms.dim + ms.density_degree
-    need = 2 * m - 1 - lead
-    head = ms.moments[:max(need, 0)]
-    if set(map(type, head)) - {float}:
-        return list(scaled_moment_vector(ms, 2 * m - 2).c)
-    key = (ms.dim, lead, need)
-    factors = cache.get(key)
-    if factors is None:
-        sign = (-1) ** ms.dim
-        factors = cache[key] = [float(sign * f) for f in falling_column(lead, need)]
-    return [0] * min(lead, 2 * m - 1) + list(map(mul, factors, head))
 
 
 def hankel_size(nmax: int, density_degree: int, oversample: int = 0) -> int:
@@ -599,7 +582,6 @@ def prony_polynomial_from_sequence(
     oversample: int = 0,
     *,
     _rank: int | None = None,
-    _cache: dict | None = None,
 ) -> PronyPolynomial:
     """Hankel rank detection plus the minimal kernel vector, without root
     extraction (enough for cross-direction matching).
@@ -609,12 +591,10 @@ def prony_polynomial_from_sequence(
     incompatible with the density degree. Exact mode decides all three
     with one Berlekamp-Massey pass over the 2m-1 scaled entries.
 
-    The reconstruction pipeline alone passes ``_rank`` and ``_cache``.
-    ``_rank`` is the rank a combined direction must show: any other raises
-    RankInstability, in float mode as soon as the rank at m is known,
-    before the rank at m-1, the kernel SVD and its least squares.
-    ``_cache`` keeps the float factors of the scaled moments and the Hankel
-    index array from one of the run's solves to the next.
+    The reconstruction pipeline alone passes ``_rank``, the rank a combined
+    direction must show: any other raises RankInstability, in float mode as
+    soon as the rank at m is known, before the rank at m-1, the kernel SVD
+    and its least squares.
     """
     mult = ms.density_degree + 1
     m = hankel_size(nmax, ms.density_degree, oversample)
@@ -623,22 +603,18 @@ def prony_polynomial_from_sequence(
         raise InsufficientMoments(
             f"need {need} moments for nmax={nmax} (m={m}), have {len(ms.moments)}"
         )
+    c = list(scaled_moment_vector(ms, 2 * m - 2).c)
     if ms.mode == EXACT:
-        coeffs = _exact_kernel(list(scaled_moment_vector(ms, 2 * m - 2).c), m)
+        coeffs = _exact_kernel(c, m)
         if len(coeffs) % mult:
             raise RankNotDivisible(
                 f"rank {len(coeffs)} not divisible by multiplicity {mult}"
             )
         _check_rank(len(coeffs), _rank)
         return PronyPolynomial(coeffs=coeffs, multiplicity=mult)
-    cache = {} if _cache is None else _cache
-    c = _scaled_floats(ms, m, cache)
     scale = _estimate_scale(c)
     _rescale(c, scale)
-    index = cache.get(m)
-    if index is None:
-        index = cache[m] = np.add.outer(np.arange(m), np.arange(m))
-    a = np.array(c, dtype=float)[index]
+    a = np.array(c, dtype=float)[np.add.outer(np.arange(m), np.arange(m))]
     rank_m = _svd_rank(a, rank_tol)
     _check_rank(rank_m, _rank)
     rank_prev = _svd_rank(a[:-1, :-1], rank_tol)

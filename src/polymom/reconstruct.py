@@ -134,8 +134,7 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6)
         with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
             total = np.ones_like(x)
             for a in reversed(pz.coeffs):
-                total *= x
-                total += a
+                total = total * x + a
         return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
     try:
         hit = prony.roots_exact(pz).__contains__
@@ -228,7 +227,6 @@ class _Pipeline:
         self.oversample = FLOAT_OVERSAMPLE if self.config.mode == FLOAT else 0
         # the factor sample_direction scales its draws by
         self.unit = self.config.denominator if self.config.mode == EXACT else 1
-        self.hankel_arrays = {}  # the float Prony arrays shared by this run's solves
 
     def sample_direction(self):
         """A draw z of ``sample_generic_direction``; exact mode returns its
@@ -259,7 +257,7 @@ class _Pipeline:
         ms = sequence_from_oracle(self.oracle, coords, n, self.oversample)
         return prony_polynomial_from_sequence(
             ms, n, self.config.rank_tol, self.oversample,
-            _rank=(self.oracle.density_degree + 1) * n, _cache=self.hankel_arrays,
+            _rank=(self.oracle.density_degree + 1) * n,
         )
 
     def acquire(self, existing=(), n=None):

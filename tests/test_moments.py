@@ -2,9 +2,7 @@
 
 import json
 from fractions import Fraction
-from functools import reduce
 from math import comb, factorial, isfinite, lcm, prod
-from operator import add
 from random import Random
 
 import pytest
@@ -514,8 +512,7 @@ def _integer_polytope(p, factor):
 
 def _float_brion_sum_reference(p, coords, q, count, pieces):
     """The scalar moment loop of ``_brion_sum`` before its float arrays,
-    kept as the reference. Its vertex sums add from the left, as ``sum``
-    did on floats before Python 3.12."""
+    kept as the reference."""
     d = p.dim
     projs, scale, tables = _vertex_contractions(p, coords, pieces)
     top = max(piece.degree for piece in pieces)
@@ -532,7 +529,7 @@ def _float_brion_sum_reference(p, coords, q, count, pieces):
     for j, fall in enumerate(falling_column(d + top, count)):
         total = 0
         for s, i, factor, run in groups:
-            total = total + falling(j + d + top, top - s) * factor * comb(j + d + s, i) * reduce(add, run, 0)
+            total = total + falling(j + d + top, top - s) * factor * comb(j + d + s, i) * sum(run)
         out.append(exact_div(sign * total, fall * unit))
         if j + 1 < count:
             unit *= scale * q

@@ -925,18 +925,6 @@ class TestFloatSolveOnOneArray:
         assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
         assert {(0, True), (1, True), (2, True)} <= seen
 
-    def test_exact_moments_in_float_mode_are_the_old_path(self):
-        # moments that are not floats keep the exact products of
-        # scaled_moment_vector, rounded once
-        for ms, nmax, oversample in _float_cases(24, 30):
-            exact = MomentSequence(
-                dim=ms.dim, direction=ms.direction, density_degree=ms.density_degree,
-                mode="float", moments=tuple(Fraction(x) / 3 for x in ms.moments),
-            )
-            want = _float_outcome(_old_float_solve, exact, nmax, 1e-8, oversample)
-            assert _float_outcome(prony_polynomial_from_sequence, exact, nmax, 1e-8,
-                                  oversample) == want
-
     def test_kernel_vector_is_the_old_branch(self):
         seen = set()
         for ms, nmax, oversample in _float_cases(22, 90):
