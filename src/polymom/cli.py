@@ -72,16 +72,8 @@ def _parse_direction(text, dim, mode):
 
 
 def _config_from_args(args, mode):
-    return RunConfig(
-        mode=mode,
-        denominator=args.denominator,
-        seed=args.seed,
-        rank_tol=args.rank_tol,
-        real_tol=args.real_tol,
-        cluster_tol=args.cluster_tol,
-        match_tol=args.match_tol,
-        noise=args.noise,
-    )
+    return RunConfig(mode=mode, denominator=args.denominator, seed=args.seed,
+                     rank_tol=args.rank_tol, noise=args.noise)
 
 
 def _density_from_args(args, dim):
@@ -119,7 +111,7 @@ def cmd_moments(args):
     if mode == FLOAT and rho is not None:
         rho = rho.to_float()
     z = _parse_direction(args.direction, p.dim, mode)
-    ms = moment_sequence(p, z, args.count, rho, mode=mode, route=args.oracle)
+    ms = moment_sequence(p, z, args.count, rho, route=args.oracle)
     if args.noise:
         ms = add_noise(ms, args.noise, Random(args.seed))
     if args.csv:
@@ -208,9 +200,6 @@ def _add_common(sub):
     sub.add_argument("--mode", choices=[EXACT, FLOAT], default=cfg.mode)
     sub.add_argument("--seed", type=int, default=cfg.seed)
     sub.add_argument("--rank-tol", dest="rank_tol", type=float, default=cfg.rank_tol)
-    sub.add_argument("--real-tol", dest="real_tol", type=float, default=cfg.real_tol)
-    sub.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=cfg.cluster_tol)
-    sub.add_argument("--match-tol", dest="match_tol", type=float, default=cfg.match_tol)
     sub.add_argument(
         "--denominator", type=int, default=cfg.denominator,
         help="prime r for sampled directions z in {0, 1/r, ..., (r-1)/r}^d (exact mode: r z)",

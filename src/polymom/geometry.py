@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, prod
+from math import factorial, prod
 
 from . import linalg
 from .errors import InputError
@@ -287,12 +287,14 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Primality by deterministic Miller-Rabin below ``_MR_BOUND``, a few
-    modular powers per call; larger n are trial-divided."""
+    """Primality by deterministic Miller-Rabin, a few modular powers per
+    call. The bases decide nothing at or above ``_MR_BOUND``, so such n
+    raise InputError."""
+    if n >= _MR_BOUND:
+        raise InputError(f"denominator {n} is too large: primality is decided "
+                         f"below {_MR_BOUND} only")
     if n < 2 or any(n % p == 0 for p in _MR_BASES):
         return n in _MR_BASES
-    if n >= _MR_BOUND:
-        return all(n % f for f in range(_MR_BASES[-1] + 2, isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, inf, lcm, perm, prod
 from random import Random
 
@@ -98,6 +99,12 @@ def _brion_direction(p: Polytope, z):
     if p.cone_table[0] is None:
         return tuple(map(float, coords)), 1
     return integerize(coords)
+
+
+def _data_mode(p: Polytope, coords, rho: MultiPoly | None) -> str:
+    """FLOAT when the vertices, the direction or the density hold a float."""
+    values = chain(*p.vertices, coords, () if rho is None else rho.terms.values())
+    return FLOAT if any(isinstance(x, float) for x in values) else EXACT
 
 
 def _exact_data(p: Polytope, coords):
@@ -362,7 +369,7 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     flat = [x for v in p.vertices for x in v]
     coords = _direction_coords(z)
     coefs = list(rho.terms.values())
-    exact = not any(isinstance(x, float) for x in (*flat, *coords, *coefs))
+    exact = _data_mode(p, coords, rho) == EXACT
     if not exact:  # then all floats: scales such as q^j would outgrow the float range
         flat, coords, coefs = ([float(x) for x in xs] for xs in (flat, coords, coefs))
     flat, scale = integerize(flat)
@@ -415,7 +422,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
     """Entry c_{k+1} of the scaled moment vector computed from the vertex
     side of the matrix identity: sum_s falling(k, deg-s) *
     [rho_s(d/dz) sum_v <v,z>^{k-deg+s} D_v(z)](z)."""
-    coords, q = integerize(_direction_coords(z))
+    coords, q = _brion_direction(p, z)
     deg = 0 if rho is None else rho.degree
     # every term is homogeneous of degree k - d - deg in z
     hom = k - p.dim - deg
@@ -483,12 +490,14 @@ def moment_sequence(
     z,
     count: int,
     rho: MultiPoly | None = None,
-    mode: str = EXACT,
     route: str = "brion",
 ) -> MomentSequence:
+    """mu_0 .. mu_{count-1} along z: float when the polytope, the direction
+    or the density holds a float (the routes then run on floats), else exact."""
     if count < 0:
         raise InputError(f"moment count must be nonnegative, got {count}")
     coords = _direction_coords(z)
+    mode = _data_mode(p, coords, rho)
     if route == "brion":
         moments = axial_moments_brion_density(p, coords, count, rho)
     elif route == "direct":
@@ -632,7 +641,7 @@ def monomial_moments_of_degree(
             ).coords
         try:
             # mu_m does not depend on z, so z may be scaled to integers
-            return _monomial_moments_at(p, integerize(coords)[0], parts, exps)
+            return _monomial_moments_at(p, _brion_direction(p, coords)[0], parts, exps)
         except DenominatorVanishes:
             if z is not None:
                 raise

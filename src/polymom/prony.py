@@ -434,22 +434,19 @@ def roots_exact(p: PronyPolynomial) -> dict:
     return result
 
 
-def roots_float(
-    p: PronyPolynomial,
-    real_tol: float = DEFAULT_REAL_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-):
+def roots_float(p: PronyPolynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Real roots with multiplicities via companion-matrix eigenvalues.
 
-    Roots with |imag| <= real_tol are kept; nearby roots merge into one
-    cluster whose multiplicity is the cluster size. Large residuals attach
-    a warning, not an error.
+    Roots with |imag| <= DEFAULT_REAL_TOL are kept; roots within
+    cluster_tol of each other (relative) merge into one cluster whose
+    multiplicity is the cluster size. Large residuals attach a warning,
+    not an error.
     """
     if p.degree == 0:
         return []
     arr = np.array([1.0] + [float(a) for a in reversed(p.coeffs)], dtype=float)
     raw = np.roots(arr)
-    real = sorted(r.real for r in raw if abs(r.imag) <= real_tol)
+    real = sorted(r.real for r in raw if abs(r.imag) <= DEFAULT_REAL_TOL)
     if not real:
         return []
     span = cluster_tol * (1.0 + max(abs(r) for r in real))
@@ -643,8 +640,6 @@ def projections_from_moments(
     ms: MomentSequence,
     nmax: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     separation_tol: float = DEFAULT_SEPARATION_TOL,
     oversample: int = 0,
 ) -> ProjectionSet:
@@ -669,8 +664,8 @@ def projections_from_moments(
         values = tuple(sorted(root_map))
     else:
         # triple and higher roots splay under noise; widen the cluster window
-        eff_cluster = cluster_tol if mult == 1 else max(cluster_tol, 10 ** (-12 / mult))
-        clusters = roots_float(poly, real_tol, eff_cluster)
+        cluster_tol = max(DEFAULT_CLUSTER_TOL, 10 ** (-12 / mult))
+        clusters = roots_float(poly, cluster_tol)
         bad = [(r, k) for r, k in clusters if k != mult]
         if bad:
             raise MultiplicityMismatch(

@@ -61,6 +61,9 @@ DIRECTION_RETRIES = 30
 # extra Hankel rows in float mode; noise averages out over the larger
 # system while exact mode stays at the frugal minimum m = N + 1
 FLOAT_OVERSAMPLE = 10
+# float acceptance threshold: the largest |p_z| a matching candidate may show,
+# and the least bound of a result's residual (``_Pipeline.residual_bound``)
+FLOAT_TOL = 1e-6
 
 
 @dataclass
@@ -95,18 +98,17 @@ def sequence_from_oracle(oracle, coords, n_for_hankel: int,
     return oracle.sequence(coords, need)
 
 
-def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT,
-                      match_tol=1e-6):
+def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT):
     """The index tuples (k_1, ..., k_d), in product order, whose candidate
     sums sum_i alpha_i values_i[k_i] are roots of p_z (float mode: |p_z| <
-    match_tol there). Raises AmbiguousMatching unless there are exactly n
+    FLOAT_TOL there). Raises AmbiguousMatching unless there are exactly n
     of them and every column is a permutation of 0..n-1 (for two
     directions: the pairing is a bijection), and in exact mode when p_z
     has an irrational root."""
     n = len(values[0])
     if any(len(v) != n for v in values):
         raise InputError("projection sets of unequal size")
-    hits = _tuple_hits(pz, alphas, values, mode, match_tol)
+    hits = _tuple_hits(pz, alphas, values, mode)
     if hits is None:
         raise AmbiguousMatching(
             f"combined polynomial has an irrational root with alphas {alphas}"
@@ -118,7 +120,7 @@ def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT,
     return hits
 
 
-def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=1e-6):
+def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=FLOAT_TOL):
     """Index tuples (k_1, ..., k_d), in product order, whose candidate
     sum_i alpha_i values_i[k_i] is a root of pz (float mode: |pz| <
     match_tol), or None when pz has an irrational root. Exact mode searches
@@ -162,8 +164,7 @@ def _alpha_sequence(dim, mode, rng):
             )
 
 
-def choose_beta(values, poly_for, max_trials, mode=EXACT, rng=None,
-                match_tol=1e-6):
+def choose_beta(values, poly_for, max_trials, mode=EXACT, rng=None):
     """The first mixing coefficients from ``_alpha_sequence`` whose
     combined polynomial ``poly_for(alphas)`` matches the projection sets
     ``values`` unambiguously. Combined directions that fail rank detection
@@ -179,7 +180,7 @@ def choose_beta(values, poly_for, max_trials, mode=EXACT, rng=None,
             break
         trials += 1
         try:
-            hits = match_projections(values, alphas, poly_for(alphas), mode, match_tol)
+            hits = match_projections(values, alphas, poly_for(alphas), mode)
             return alphas, hits, failures
         except (NonGenericDirection, DenominatorVanishes, AmbiguousMatching):
             failures += 1
@@ -227,6 +228,9 @@ class _Pipeline:
         self.oversample = FLOAT_OVERSAMPLE if self.config.mode == FLOAT else 0
         # the factor sample_direction scales its draws by
         self.unit = self.config.denominator if self.config.mode == EXACT else 1
+        # the largest relative residual a float result's checks accept: good
+        # reconstructions sit many orders below bad ones, the bound splits the gap
+        self.residual_bound = max(FLOAT_TOL, 1e3 * self.config.noise)
 
     def sample_direction(self):
         """A draw z of ``sample_generic_direction``; exact mode returns its
@@ -246,10 +250,7 @@ class _Pipeline:
         # DEFAULT_SEPARATION_TOL is calibrated at 1e-9 relative noise
         sep = DEFAULT_SEPARATION_TOL * (max(cfg.noise, 1e-15) / 1e-9) ** 0.5
         sep = min(max(sep, 1e-9), DEFAULT_SEPARATION_TOL)
-        return projections_from_moments(
-            ms, n_for_hankel, cfg.rank_tol, cfg.real_tol, cfg.cluster_tol,
-            sep, self.oversample,
-        )
+        return projections_from_moments(ms, n_for_hankel, cfg.rank_tol, sep, self.oversample)
 
     def poly_at(self, coords, n) -> PronyPolynomial:
         """Kernel polynomial of a combined direction, on which all n
@@ -329,9 +330,7 @@ class _Pipeline:
         cfg = self.config
         max_trials = cfg.beta_trials or len(values[0]) ** 3 + 1
         try:
-            alphas, hits, failures = choose_beta(
-                values, poly_for, max_trials, cfg.mode, self.rng, cfg.match_tol
-            )
+            alphas, hits, failures = choose_beta(values, poly_for, max_trials, cfg.mode, self.rng)
         except MatchingFailure:
             self.prov.retries += max_trials
             raise
@@ -357,8 +356,8 @@ class _Pipeline:
         )
 
 
-def _inferred_polytope(dim, vertices, simplices=None) -> Polytope | None:
-    p = Polytope(dim=dim, vertices=tuple(vertices), simplices=simplices)
+def _inferred_polytope(dim, vertices) -> Polytope | None:
+    p = Polytope(dim=dim, vertices=tuple(vertices))
     try:
         triangulation_of(p)
     except InputError:
@@ -394,18 +393,16 @@ def _projection_residual(pipeline: _Pipeline, vertices, coords):
     ) / spread
 
 
-def _self_check(pipeline: _Pipeline, vertices, simplices=None):
+def _self_check(pipeline: _Pipeline, vertices):
     """Verify the reconstruction against the oracle on one held-out
     direction: forward integration when a triangulation of the result is
     available, the Hankel annihilation property otherwise."""
     oracle = pipeline.oracle
     prov = pipeline.prov
-    recon = _inferred_polytope(oracle.dim, vertices, simplices)
+    recon = _inferred_polytope(oracle.dim, vertices)
     count = 2 * len(vertices) + 1 - oracle.dim
     before = oracle.unique_count
-    # good reconstructions sit many orders below bad ones on either
-    # statistic; the threshold splits the gap
-    tol = max(1e-6, 1e3 * pipeline.config.noise)
+    tol = pipeline.residual_bound
     for _ in range(DIRECTION_RETRIES):
         coords = pipeline.sample_direction()
         if recon is None:
@@ -427,7 +424,7 @@ def _self_check(pipeline: _Pipeline, vertices, simplices=None):
             )
         except (DenominatorVanishes, InputError):
             continue
-        theirs = [oracle.moment(coords, j) for j in range(count)]
+        theirs = oracle.sequence(coords, count).moments
         if pipeline.config.mode == EXACT:
             if list(ours) != list(theirs):
                 raise OracleDisagreement(
@@ -461,7 +458,6 @@ def reconstruct(
     config: RunConfig | None = None,
     rng=None,
     self_check: bool = False,
-    self_check_simplices=None,
 ) -> VertexSet:
     """Recover the full vertex set from the moment oracle.
 
@@ -502,7 +498,7 @@ def reconstruct(
     verts = pipe.assemble(rows, values, zip(range(n), *pairings))
     result = pipe.finish(verts)
     if self_check:
-        _self_check(pipe, verts, self_check_simplices)
+        _self_check(pipe, verts)
     return result
 
 
@@ -613,7 +609,7 @@ def reconstruct_from_sequences(
                 continue
             try:
                 hits = match_projections([x1, projs[i].values], (1, beta),
-                                         pipe.poly_at(coords, n), mode, pipe.config.match_tol)
+                                         pipe.poly_at(coords, n), mode)
                 break
             except (NonGenericDirection, AmbiguousMatching, DenominatorVanishes) as exc:
                 last_error = exc

@@ -20,6 +20,7 @@ from .errors import (
     NonGenericDirection,
     RankInstability,
 )
+from .geometry import dot
 from .numeric import EXACT
 from .prony import PronyPolynomial, poly_derivative, poly_eval, poly_nth_root
 from .reconstruct import VertexSet, _Pipeline
@@ -171,7 +172,9 @@ def vertices_univar(
     -g_{a,b_j}(theta) / (u p_a'(theta)) with b_j = u e_j scaled like a
     sampled a = u z (``_Pipeline.unit``), so that samples see u (z + s e_j).
     Repeated roots of p_a trigger a resample of the base direction (handled
-    upstream by the Prony multiplicity check).
+    upstream by the Prony multiplicity check). g is linear in b, so
+    sum_j a_j g_{a,e_j} = g_{a,a} = -theta p_a'(theta) and <v, a> = theta
+    exactly: a float result far off it raises RankInstability.
     """
     pipe = _Pipeline(oracle, nmax, config, rng)
     d = oracle.dim
@@ -195,12 +198,18 @@ def vertices_univar(
         weights = _derivative_weights(nodes)
         g.append([sum(w * p[i] for w, p in zip(weights, polys)) for i in range(n)])
 
-    vertices = []
-    for theta in proj.values:
+    vertices, thetas = [], proj.values
+    for theta in thetas:
         dp = poly_eval(pa_derivative, theta)
         if dp == 0:
             raise RankInstability("repeated root of p_a; resample the direction")
         vertices.append(tuple(-poly_eval(g[j], theta) / (unit * dp) for j in range(d)))
+    if pipe.config.mode != EXACT and thetas:
+        miss = max(abs(dot(v, a) - t) for v, t in zip(vertices, thetas))
+        residual = miss / (1.0 + thetas[-1] - thetas[0])
+        if residual > pipe.residual_bound:
+            raise RankInstability(f"univariate vertices miss their base projections: "
+                                  f"residual {residual:.3e} above {pipe.residual_bound:.1e}")
     pipe.prov.directions = [a]
     pipe.prov.ranks = [proj.rank]
     return pipe.finish(vertices)

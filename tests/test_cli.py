@@ -1,5 +1,6 @@
 """Command line surface: flows, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import polymom
 from conftest import square_pyramid, unit_square, unit_triangle
 from polymom import cli
 from polymom.cli import main
+from polymom.config import RunConfig
 from polymom.errors import NonGenericDirection
 from polymom.geometry import polytope_to_json, save_polytope
 
@@ -152,6 +154,39 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_option_surface():
+    # every RunConfig field but beta_trials is a flag of every subcommand,
+    # with the field's default
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert fields == ["mode", "denominator", "seed", "rank_tol", "beta_trials", "noise"]
+    defaults = RunConfig()
+    parser = cli.build_parser()
+    for argv in (["moments", "p.json", *MOMENTS_ARGS],
+                 ["reconstruct", "--moments", "m.json", "--nmax", "3"],
+                 ["roundtrip", "p.json", "--nmax", "3"],
+                 ["univar", "--oracle-polytope", "p.json", "--nmax", "3"]):
+        args = parser.parse_args(argv)
+        flagged = [name for name in fields if hasattr(args, name)]
+        assert flagged == [name for name in fields if name != "beta_trials"]
+        assert all(getattr(args, name) == getattr(defaults, name) for name in flagged)
+
+
+@pytest.mark.parametrize("flag", ["--real-tol", "--cluster-tol", "--match-tol"])
+def test_removed_tolerance_flag_exit_2(square_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--oracle-polytope", square_file, "--nmax", "4",
+              "--mode", "float", flag, "1e-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_denominator_beyond_the_primality_bound_exit_2(square_file, capsys):
+    code = main(["reconstruct", "--oracle-polytope", square_file, "--nmax", "4",
+                 "--denominator", "3317044064679887385962123"])
+    assert code == 2
+    assert "too large" in capsys.readouterr().err
 
 
 # JSON readers turn 1e400 into inf and accept NaN

@@ -4,10 +4,12 @@ import functools
 import json
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
 
 from conftest import random_polygon, unit_cube, unit_square, unit_triangle
+from polymom.config import RunConfig
 from polymom.errors import InputError
 from polymom.geometry import (
     Polytope,
@@ -273,6 +275,17 @@ class TestPrimality:
         # strong pseudoprimes to 2..17 and 2..23, beyond trial division here
         assert not _is_prime(341550071728321) and not _is_prime(3825123056546413051)
         assert _is_prime(2**61 - 1)
+
+    def test_denominator_beyond_the_bases_rejected_at_once(self):
+        # the first prime above _MR_BOUND: trial division up to its square
+        # root (1.8e12) would not return for hours
+        n = 3317044064679887385962123
+        start = perf_counter()
+        with pytest.raises(InputError, match="too large"):
+            RunConfig(denominator=n).validate()
+        with pytest.raises(InputError, match="too large"):
+            sample_generic_direction(2, n, Random(0))
+        assert perf_counter() - start < 1
 
     def test_draws_are_unchanged(self):
         for r in (2, 1009, 10007, 1000003, 1000001, 1, 9):

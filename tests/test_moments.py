@@ -604,6 +604,19 @@ class TestFloatBrionOnArrays:
             for a, b in zip(got, axial_moments_direct(p, z, 46, rho)):
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
+    def test_exact_direction_on_a_float_polytope_vertex_side_and_monomials(self):
+        # both overflowed from k = 44 on (and at monomial degree 30) before
+        p = polytope_to_float(_ladder_polygon(12))
+        for seed in range(3):
+            z = sample_generic_direction(2, rng=Random(seed)).coords
+            zf = tuple(map(float, z))
+            for k in (44, 45):
+                got = vertex_side_scaled_entry(p, z, k)
+                assert isfinite(got) and got == vertex_side_scaled_entry(p, zf, k)
+            got = monomial_moments_of_degree(p, 30, z=z)
+            assert all(map(isfinite, got.values()))
+            assert got == monomial_moments_of_degree(p, 30, z=zf)
+
 
 class TestConeTable:
     """The per-polytope integer cone table against the weights rebuilt
@@ -862,9 +875,7 @@ class TestMonomialMoments:
 
 class TestNoise:
     def _ms(self):
-        return moment_sequence(
-            unit_square(), (0.25, 0.75), 5, mode="float"
-        )
+        return moment_sequence(unit_square(), (0.25, 0.75), 5)
 
     def test_zero_noise_identity(self):
         ms = self._ms()
@@ -893,6 +904,21 @@ class TestNoise:
 
 
 class TestRoutesAndFiles:
+    def test_sequence_mode_follows_the_data(self):
+        # float when the polytope, the direction or the density holds a float
+        tri, z, rho = unit_triangle(), (F(1), F(2)), poly_parse("1 + x1", 2)
+        for route in ("brion", "direct", "both"):
+            exact = moment_sequence(tri, z, 5, rho, route=route)
+            assert exact.mode == "exact"
+            assert all(isinstance(m, F) for m in exact.moments)
+            for p, zz, r in ((polytope_to_float(tri), z, rho), (tri, (1.0, 2.0), rho),
+                             (tri, z, rho.to_float())):
+                ms = moment_sequence(p, zz, 5, r, route=route)
+                assert ms.mode == "float"
+                assert all(type(m) is float for m in ms.moments)
+                assert all(abs(a - b) <= 1e-12 * abs(b)
+                           for a, b in zip(ms.moments, exact.moments))
+
     def test_both_route_agreement(self):
         ms = moment_sequence(unit_triangle(), (F(1), F(2)), 5, route="both")
         assert ms.moments[0] == F(1, 2)
@@ -983,7 +1009,7 @@ class TestOracleBookkeeping:
     def test_non_finite_or_negative_noise_rejected(self, noise):
         with pytest.raises(InputError, match="noise"):
             PolytopeMomentOracle(unit_square(), mode="float", noise=noise, rng=Random(7))
-        ms = moment_sequence(polytope_to_float(unit_square()), (0.25, 0.75), 4, mode="float")
+        ms = moment_sequence(polytope_to_float(unit_square()), (0.25, 0.75), 4)
         with pytest.raises(InputError, match="noise"):
             add_noise(ms, noise, Random(7))
 

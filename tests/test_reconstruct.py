@@ -479,9 +479,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("field, value", [
         ("rank_tol", float("nan")), ("rank_tol", 1.5), ("rank_tol", 1.0),
-        ("real_tol", float("inf")), ("match_tol", float("nan")),
         ("noise", float("nan")), ("noise", float("inf")), ("noise", -1e-9),
-        ("cluster_tol", 0.0),
     ])
     def test_meaningless_settings_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -490,6 +488,25 @@ class TestReconstruct:
         with pytest.raises(InputError, match=field):
             reconstruct(oracle, 4, RunConfig(mode="float", **{field: value}))
         assert oracle.unique_count == 0
+
+    def test_self_check_reads_its_direction_once(self, monkeypatch):
+        # the held-out direction's moments come from one oracle batch, not
+        # from one batch per index (counts 1, 2, ..., 7: 28 moments)
+        moments_module = import_module("polymom.moments")
+        batches = []
+        brion = moments_module.axial_moments_brion_density
+
+        def counting(p, z, count, rho):
+            batches.append((tuple(z), count))
+            return brion(p, z, count, rho)
+
+        monkeypatch.setattr(moments_module, "axial_moments_brion_density", counting)
+        oracle = PolytopeMomentOracle(unit_square(), mode="float")
+        vs = reconstruct(oracle, 4, RunConfig(mode="float", seed=1), Random(1),
+                         self_check=True)
+        held_out = batches[-1][0]
+        assert [b for b in batches if b[0] == held_out] == [(held_out, 7)]
+        assert vs.provenance.self_check_moments == 7
 
     def test_float_self_check_blocks_wrong_results(self):
         # N=8 boxes sit at the float rank-detection margin: runs either
@@ -660,6 +677,17 @@ class TestSequenceReconstruction:
         with pytest.raises(InputError):
             reconstruct_from_sequences(seqs, 3)
 
+    def test_float_polytope_sequences_are_float(self):
+        # the sequences take float mode from the float polytope, and solve
+        square = unit_square()
+        fsquare = polytope_to_float(square)
+        dirs = [(1.0, 0.3), (0.4, 1.0), (1.4, 1.3), (1.8, 2.3)]
+        count = moments_needed(2, 4, 0, FLOAT_OVERSAMPLE)
+        seqs = [moment_sequence(fsquare, z, count) for z in dirs]
+        assert {ms.mode for ms in seqs} == {"float"}
+        vs = reconstruct_from_sequences(seqs, 4)
+        assert reconstruction_error(square, vs) <= 1e-9
+
     def test_float_files_oversampled(self):
         # float mode reads the same oversampled Hankel as the adaptive
         # pipeline, so each file must hold moments_needed(d, nmax, D, 10)
@@ -670,7 +698,7 @@ class TestSequenceReconstruction:
         need = moments_needed(2, 4, 0, FLOAT_OVERSAMPLE)
 
         def files(count):
-            return [moment_sequence(fsquare, z, count, mode="float", route="direct")
+            return [moment_sequence(fsquare, z, count, route="direct")
                     for z in dirs + combined]
 
         vs = reconstruct_from_sequences(files(need), 4)

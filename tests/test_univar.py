@@ -5,13 +5,15 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from conftest import random_simple_polytope, unit_cube, unit_triangle
+import pytest
+
+from conftest import random_simple_polytope, unit_cube, unit_square, unit_triangle
 from polymom.config import RunConfig
-from polymom.errors import DenominatorVanishes
-from polymom.geometry import dot
+from polymom.errors import DenominatorVanishes, RankInstability
+from polymom.geometry import Polytope, dot
 from polymom.moments import PolytopeMomentOracle
 from polymom.prony import poly_derivative, poly_eval
-from polymom.reconstruct import _Pipeline, reconstruct
+from polymom.reconstruct import _Pipeline, reconstruct, reconstruction_error
 from polymom.univar import (
     _derivative_weights,
     _sample,
@@ -235,3 +237,34 @@ class TestDerivativeWeights:
         vs = vertices_univar(_AvoidingOracle(p, avoid), n, _cfg(), rng, base_direction=a)
         assert vs.vertices == tuple(sorted(p.vertices))
         assert vs.provenance.retries == 2 * p.dim
+
+
+def _ladder_polygon(n):
+    """The polygon (k, k^2/7), k < n."""
+    return Polytope(dim=2, vertices=tuple((F(k), F(k * k, 7)) for k in range(n)))
+
+
+class TestFloatUnivar:
+    """Float mode checks sum_j a_j v_j = theta, an identity of the route:
+    a result far off it raises instead of returning a wrong vertex set."""
+
+    @staticmethod
+    def _run(p, seed):
+        oracle = PolytopeMomentOracle(p, mode="float")
+        return vertices_univar(oracle, p.n_vertices, RunConfig(mode="float", seed=seed),
+                               Random(seed))
+
+    def test_cube_wrong_rank_raises(self):
+        # the base direction shows rank 7, and 7 vertices came back
+        with pytest.raises(RankInstability, match="base projections"):
+            self._run(unit_cube(), 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ladder_octagon_raises(self, seed):
+        with pytest.raises(RankInstability, match="base projections"):
+            self._run(_ladder_polygon(8), seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_triangle_and_square_solve(self, seed):
+        for p in (unit_triangle(), unit_square()):
+            assert reconstruction_error(p, self._run(p, seed)) <= 1e-9
