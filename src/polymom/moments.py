@@ -456,9 +456,6 @@ class MomentSequence:
     mode: str
     moments: tuple
 
-    def __len__(self):
-        return len(self.moments)
-
 
 @dataclass(frozen=True)
 class ScaledMomentVector:

@@ -157,21 +157,9 @@ class MultiPoly:
     def constant(cls, dim, value):
         return cls(dim, {_zero_exp(dim): value})
 
-    @classmethod
-    def variable(cls, dim, index):
-        """The monomial x_<index> with 1-based index."""
-        if not 1 <= index <= dim:
-            raise InputError(f"variable index {index} out of range 1..{dim}")
-        exp = [0] * dim
-        exp[index - 1] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
-
     @property
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -208,12 +196,6 @@ class MultiPoly:
             terms[exp] = terms.get(exp, 0) + coef
         return MultiPoly(self.dim, terms)
 
-    def __neg__(self):
-        return MultiPoly(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             # scalar multiple
@@ -243,9 +225,6 @@ class MultiPoly:
             and self.dim == other.dim
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -409,9 +388,6 @@ class Jet:
     def __sub__(self, other):
         return self + (-self._wrap(other))
 
-    def __rsub__(self, other):
-        return self._wrap(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(
@@ -474,16 +450,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Jet)
-            and self.dim == other.dim
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"Jet(dim={self.dim}, order={self.order}, {self.coeffs})"
 
 
 def jet_variables(point, order):

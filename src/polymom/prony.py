@@ -79,24 +79,16 @@ def _svd_rank(a, rank_tol):
     return int(np.sum(sigma > rank_tol * sigma[0]))
 
 
-def rank_and_kernel(h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL):
-    """Rank and a kernel basis.
-
-    Exact: one fraction-free Gaussian elimination; the basis vectors
-    satisfy H v = 0 exactly and the rank is m minus their number. Float:
-    singular values above rank_tol * sigma_max count toward the rank, and
-    the trailing right singular vectors span the kernel.
+def rank_and_kernel(h: HankelSystem):
+    """Rank and a kernel basis of an exact Hankel matrix, by one
+    fraction-free Gaussian elimination: the basis vectors satisfy H v = 0
+    exactly and the rank is m minus their number.
 
     The pipeline does not call this. It is the independent Bareiss oracle
     that the tests check the Berlekamp-Massey solve against.
     """
-    if h.mode == EXACT:
-        basis = linalg.kernel_basis([list(r) for r in h.rows])
-        return h.m - len(basis), basis
-    a = np.array(h.rows, dtype=float)
-    rank = _svd_rank(a, rank_tol)
-    _, _, vh = np.linalg.svd(a)
-    return rank, [vh[i] for i in range(rank, h.m)]
+    basis = linalg.kernel_basis([list(r) for r in h.rows])
+    return h.m - len(basis), basis
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ directions, matches projections across directions, and solves a d x d
 linear system per vertex. Every variant matches the same way: for mixing
 coefficients alpha it accepts the index tuples whose candidate sums
 sum_i alpha_i x_i[k_i] are roots of the Prony polynomial of the combined
-direction sum_i alpha_i z_i (``match_projections``; in exact mode one root
-search replaces the per-candidate evaluations), and tries coefficients in
-turn until one matching is unambiguous (``choose_beta``). The main pipeline
-matches each z_i with z_1 through z_1 + beta z_i; a frugal variant matches
-all d at once from d+1 directions, at the price of enumerating all
-candidate index tuples.
+direction sum_i alpha_i z_i (``match_projections``; on exact data one root
+search replaces the per-candidate evaluations), and tries the caller's
+coefficients in turn until one matching is unambiguous (``choose_beta``).
+The main pipeline matches each z_i with z_1 through z_1 + beta z_i; a
+frugal variant matches all d at once from d+1 directions, at the price of
+enumerating all candidate index tuples.
 
 Moment consumption is audited through the oracle: with no retries the main
 pipeline draws exactly (2d-1)(2N+1-d) distinct measurements for uniform
@@ -98,17 +98,17 @@ def sequence_from_oracle(oracle, coords, n_for_hankel: int,
     return oracle.sequence(coords, need)
 
 
-def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT):
+def match_projections(values, alphas, pz: PronyPolynomial):
     """The index tuples (k_1, ..., k_d), in product order, whose candidate
-    sums sum_i alpha_i values_i[k_i] are roots of p_z (float mode: |p_z| <
-    FLOAT_TOL there). Raises AmbiguousMatching unless there are exactly n
-    of them and every column is a permutation of 0..n-1 (for two
-    directions: the pairing is a bijection), and in exact mode when p_z
+    sums sum_i alpha_i values_i[k_i] are roots of p_z (float projections:
+    |p_z| < FLOAT_TOL there). Raises AmbiguousMatching unless there are
+    exactly n of them and every column is a permutation of 0..n-1 (for two
+    directions: the pairing is a bijection), and on exact data when p_z
     has an irrational root."""
     n = len(values[0])
     if any(len(v) != n for v in values):
         raise InputError("projection sets of unequal size")
-    hits = _tuple_hits(pz, alphas, values, mode)
+    hits = _tuple_hits(pz, alphas, values)
     if hits is None:
         raise AmbiguousMatching(
             f"combined polynomial has an irrational root with alphas {alphas}"
@@ -120,16 +120,21 @@ def match_projections(values, alphas, pz: PronyPolynomial, mode=EXACT):
     return hits
 
 
-def _tuple_hits(pz: PronyPolynomial, alphas, values, mode=EXACT, match_tol=FLOAT_TOL):
+def _is_float(rows):
+    """Float projection data; the pipeline never mixes float and exact values."""
+    return any(isinstance(x, float) for row in rows for x in row)
+
+
+def _tuple_hits(pz: PronyPolynomial, alphas, values, match_tol=FLOAT_TOL):
     """Index tuples (k_1, ..., k_d), in product order, whose candidate
-    sum_i alpha_i values_i[k_i] is a root of pz (float mode: |pz| <
-    match_tol), or None when pz has an irrational root. Exact mode searches
+    sum_i alpha_i values_i[k_i] is a root of pz (float projections: |pz| <
+    match_tol), or None when pz has an irrational root. Exact data searches
     the roots once: their multiplicities add up to the degree, so a
-    candidate is a root exactly when it is a key. Float mode builds every
+    candidate is a root exactly when it is a key. Float data builds every
     candidate sum by broadcasting and runs ``pz.eval``'s Horner on them all
     at once, with the same operations in the same order."""
     scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
-    if mode != EXACT:
+    if _is_float(values):
         d = len(scaled)
         x = sum(np.reshape(row, (-1,) + (1,) * (d - 1 - k))
                 for k, row in enumerate(scaled)) / pz.scale  # x / 1 is x, bit for bit
@@ -164,34 +169,33 @@ def _alpha_sequence(dim, mode, rng):
             )
 
 
-def choose_beta(values, poly_for, max_trials, mode=EXACT, rng=None):
-    """The first mixing coefficients from ``_alpha_sequence`` whose
-    combined polynomial ``poly_for(alphas)`` matches the projection sets
-    ``values`` unambiguously. Combined directions that fail rank detection
-    count as failed trials. Returns (alphas, matched tuples, failed_trials).
-    """
-    if rng is None:
-        rng = Random(0)
-    failures = 0
+def choose_beta(values, poly_for, coefficients, max_trials):
+    """The first mixing coefficients from ``coefficients``, at most
+    ``max_trials`` of them, whose combined polynomial ``poly_for(alphas)``
+    matches the projection sets ``values`` unambiguously. Combined
+    directions that fail rank detection count as failed trials. Returns
+    (alphas, matched tuples, failed trials); an exhausted budget raises
+    MatchingFailure naming the last trial's error."""
     trials = 0
-    # the sequence draws one coefficient past the budget before it stops
-    for alphas in _alpha_sequence(len(values), mode, rng):
+    last_error = None
+    # an endless sequence draws one coefficient past the budget before it stops
+    for alphas in coefficients:
         if trials >= max_trials:
             break
         trials += 1
         try:
-            hits = match_projections(values, alphas, poly_for(alphas), mode)
-            return alphas, hits, failures
-        except (NonGenericDirection, DenominatorVanishes, AmbiguousMatching):
-            failures += 1
+            return alphas, match_projections(values, alphas, poly_for(alphas)), trials - 1
+        except (NonGenericDirection, DenominatorVanishes, AmbiguousMatching) as exc:
+            last_error = exc
     raise MatchingFailure(
-        f"no unambiguous matching in {trials} trials; base directions suspect"
+        f"no unambiguous matching in {trials} trials"
+        + (f"; last error: {last_error}" if last_error else "")
     )
 
 
-def assemble_vertices(direction_rows, matched_tuples, mode=EXACT):
+def assemble_vertices(direction_rows, matched_tuples):
     """Solve Z v = (x(z_1), ..., x(z_d)) for each matched projection tuple."""
-    if mode == EXACT:
+    if not _is_float(matched_tuples):
         return [
             tuple(linalg.solve_exact([list(r) for r in direction_rows], list(t)))
             for t in matched_tuples
@@ -329,8 +333,9 @@ class _Pipeline:
         as all of its trials."""
         cfg = self.config
         max_trials = cfg.beta_trials or len(values[0]) ** 3 + 1
+        coefficients = _alpha_sequence(len(values), cfg.mode, self.rng)
         try:
-            alphas, hits, failures = choose_beta(values, poly_for, max_trials, cfg.mode, self.rng)
+            alphas, hits, failures = choose_beta(values, poly_for, coefficients, max_trials)
         except MatchingFailure:
             self.prov.retries += max_trials
             raise
@@ -341,7 +346,7 @@ class _Pipeline:
         """One vertex per index tuple: entry i of a tuple picks the vertex's
         projection onto rows[i] from values[i]."""
         tuples = [tuple(v[k] for v, k in zip(values, combo)) for combo in combos]
-        return assemble_vertices(rows, tuples, self.config.mode)
+        return assemble_vertices(rows, tuples)
 
     def finish(self, vertices) -> VertexSet:
         """The sorted result; its moment count covers every measurement
@@ -409,40 +414,28 @@ def _self_check(pipeline: _Pipeline, vertices):
             residual = _projection_residual(pipeline, vertices, coords)
             if residual is None:
                 continue
-            prov.self_check_residual = residual
-            if (residual != 0.0) if pipeline.config.mode == EXACT else (
-                residual > tol
-            ):
-                raise OracleDisagreement(
-                    f"self-check residual {residual:.3e} above {tol:.1e}: "
-                    "the reconstruction is inconsistent with the moments"
-                )
-            break
-        try:
-            ours = axial_moments_direct(
-                recon, coords, count, getattr(oracle, "density", None)
-            )
-        except (DenominatorVanishes, InputError):
-            continue
-        theirs = oracle.sequence(coords, count).moments
-        if pipeline.config.mode == EXACT:
-            if list(ours) != list(theirs):
-                raise OracleDisagreement(
-                    "self-check failed: reconstructed moments differ from oracle"
-                )
-            prov.self_check_residual = 0.0
         else:
-            residual = max(
-                abs(float(a) - float(b)) / max(1.0, abs(float(b)))
-                for a, b in zip(ours, theirs)
-            )
-            prov.self_check_residual = residual
-            if residual > tol:
-                raise OracleDisagreement(
-                    f"self-check residual {residual:.3e} above {tol:.1e}: "
-                    "the reconstruction is inconsistent with the moments "
-                    "(a vertex may sit below the rank threshold)"
+            try:
+                ours = axial_moments_direct(
+                    recon, coords, count, getattr(oracle, "density", None)
                 )
+            except (DenominatorVanishes, InputError):
+                continue
+            theirs = oracle.sequence(coords, count).moments
+            if pipeline.config.mode == EXACT:
+                residual = 0.0 if list(ours) == list(theirs) else 1.0
+            else:
+                residual = max(
+                    abs(float(a) - float(b)) / max(1.0, abs(float(b)))
+                    for a, b in zip(ours, theirs)
+                )
+        # exact residuals are 0 or 1, and exact mode has no noise: tol < 1
+        prov.self_check_residual = residual
+        if residual > tol:
+            raise OracleDisagreement(
+                f"self-check residual {residual:.3e} above {tol:.1e}: "
+                "the reconstruction is inconsistent with the moments"
+            )
         break
     else:
         warnings.warn(
@@ -485,7 +478,11 @@ def reconstruct(
                 alphas, hits = pipe.match([x1, proj_i.values], poly_for)
                 break
             except MatchingFailure:
-                zi, proj_i = pipe.acquire(rows, n)
+                # independent of the later base directions too, which assembly uses
+                zi, proj_i = pipe.acquire([*rows, *(b[0] for b in base[i + 1:])], n)
+                if proj_i.n != n:
+                    raise RankInstability(
+                        f"a replacement direction shows {proj_i.n} vertices, not {n}")
         else:
             raise MatchingFailure(f"matching failed for direction {i} after retries")
         rows.append(zi)
@@ -602,24 +599,18 @@ def reconstruct_from_sequences(
 
     pairings = []
     for i in range(1, d):
-        last_error = None
+        # the (1, beta) of each supplied z_1 + beta z_i, to its stated coordinates
+        stated = {}
         for coords in combined:
             beta = _derive_beta(coords, base[0], base[i], mode)
-            if beta is None:
-                continue
-            try:
-                hits = match_projections([x1, projs[i].values], (1, beta),
-                                         pipe.poly_at(coords, n), mode)
-                break
-            except (NonGenericDirection, AmbiguousMatching, DenominatorVanishes) as exc:
-                last_error = exc
-                prov.retries += 1
-        else:
-            raise MatchingFailure(
-                f"no supplied combined direction matches base direction {i}"
-                + (f"; last error: {last_error}" if last_error else "")
-            )
-        prov.betas.append(beta)
+            if beta is not None:
+                stated.setdefault((1, beta), coords)
+        alphas, hits, failures = choose_beta(
+            [x1, projs[i].values], lambda a: pipe.poly_at(stated[a], n),
+            stated, len(stated),
+        )
+        prov.retries += failures
+        prov.betas.append(alphas[1])
         pairings.append([k for _, k in hits])
 
     return pipe.finish(pipe.assemble(

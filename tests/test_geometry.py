@@ -9,6 +9,7 @@ from time import perf_counter
 import pytest
 
 from conftest import random_polygon, unit_cube, unit_square, unit_triangle
+from polymom import linalg
 from polymom.config import RunConfig
 from polymom.errors import InputError
 from polymom.geometry import (
@@ -18,6 +19,7 @@ from polymom.geometry import (
     _is_prime,
     check_distinct_projections,
     fan_triangulate_2d,
+    polygon_cones,
     polytope_from_json,
     polytope_to_json,
     sample_generic_direction,
@@ -327,6 +329,21 @@ class TestSimplexCones:
         verts = ((F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
         with pytest.raises(InputError, match="degenerate"):
             simplex_cones(verts, (0, 1, 2))
+
+
+class TestPolygonCones:
+    def test_det_is_det_exact(self):
+        # the corner's cross product against the Bareiss determinant, on
+        # exact vertices and on their float copies
+        rng = Random(17)
+        for _ in range(40):
+            p = random_polygon(rng)
+            floats = Polytope(dim=2, vertices=tuple(
+                tuple(float(x) for x in v) for v in p.vertices))
+            for q in (p, floats):
+                for c in polygon_cones(q):
+                    want = abs(linalg.det_exact([list(col) for col in zip(*c.edges)]))
+                    assert type(c.det) is Fraction and c.det == want
 
 
 class TestDirectionSampling:

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     random_density,
+    random_parallelepiped,
     random_polygon,
     random_prism,
     random_simple_polytope,
@@ -29,14 +30,24 @@ from polymom.errors import (
     InsufficientMoments,
     IrrationalRoot,
     MatchingFailure,
+    OracleDisagreement,
     RankInstability,
 )
-from polymom.geometry import dot, polytope_to_float, sample_generic_direction
+from polymom.geometry import (
+    Polytope,
+    dot,
+    polygon_cones,
+    polytope_to_float,
+    sample_generic_direction,
+)
+from polymom.linalg import rank_exact
 from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
 from polymom.prony import PronyPolynomial, moments_needed, prony_polynomial_from_sequence
 from polymom.reconstruct import (
     FLOAT_OVERSAMPLE,
     _Pipeline,
+    _alpha_sequence,
+    _self_check,
     _tuple_hits,
     assemble_vertices,
     choose_beta,
@@ -248,7 +259,7 @@ class TestFloatCandidateTest:
                 scale = rng.choice((1, 1, 7.5, 0.25))
                 pz = _float_poly([dot(v, z) + shift for v in fverts], scale)
                 for tol in (1e-6, 1e-2, 1e3):
-                    hits = _tuple_hits(pz, alphas, values, "float", tol)
+                    hits = _tuple_hits(pz, alphas, values, tol)
                     assert hits == _float_horner_hits(pz, alphas, values, tol)
                     assert all(type(k) is int for h in hits for k in h)
                     n = len(verts)
@@ -263,7 +274,7 @@ class TestFloatCandidateTest:
         pz = PronyPolynomial(())
         values = [(0.5, 1.5), (2.0, 3.0)]
         for tol in (0.5, 2.0):
-            assert _tuple_hits(pz, (1, 2.5), values, "float", tol) == \
+            assert _tuple_hits(pz, (1, 2.5), values, tol) == \
                 _float_horner_hits(pz, (1, 2.5), values, tol)
 
 
@@ -300,7 +311,7 @@ class TestChooseBeta:
         solver = self._triangle_solver()
         alphas, hits, failures = choose_beta(
             [(F(0), F(1), F(2)), (F(0), F(1), F(2))], lambda a: solver(a[1]),
-            max_trials=28,
+            _alpha_sequence(2, "exact", None), max_trials=28,
         )
         beta, pairing = alphas[1], tuple(k for _, k in hits)
         assert alphas == (1, 3) and beta == 3
@@ -310,7 +321,7 @@ class TestChooseBeta:
     def test_single_vertex_immediate(self):
         pz = _poly_from_roots([F(0)])
         alphas, hits, failures = choose_beta(
-            [(F(0),), (F(0),)], lambda a: pz, max_trials=2
+            [(F(0),), (F(0),)], lambda a: pz, _alpha_sequence(2, "exact", None), max_trials=2
         )
         assert alphas == (1, 1) and hits == [(0, 0)] and failures == 0
 
@@ -334,7 +345,7 @@ class TestChooseBeta:
 
         alphas, hits, failures = choose_beta(
             [(F(0), F(1), F(2), F(3)), (F(0), F(1), F(2), F(3))],
-            lambda a: solver(a[1]), max_trials=4**3 + 1,
+            lambda a: solver(a[1]), _alpha_sequence(2, "exact", None), max_trials=4**3 + 1,
         )
         assert alphas[1] == 3
         assert hits == [(0, 0), (1, 2), (2, 1), (3, 3)]
@@ -342,7 +353,8 @@ class TestChooseBeta:
     def test_exhaustion(self):
         pz = _poly_from_roots([F(100), F(200)])  # never matches anything
         with pytest.raises(MatchingFailure):
-            choose_beta([(F(0), F(1)), (F(0), F(1))], lambda a: pz, max_trials=9)
+            choose_beta([(F(0), F(1)), (F(0), F(1))], lambda a: pz,
+                        _alpha_sequence(2, "exact", None), max_trials=9)
 
     @pytest.mark.parametrize("max_trials", [1, 3, 9])
     def test_float_exhaustion_draws_one_coefficient_past_the_budget(self, max_trials):
@@ -351,7 +363,8 @@ class TestChooseBeta:
         pz = _float_poly([100.0, 200.0], 1)
         rng = Random(7)
         with pytest.raises(MatchingFailure):
-            choose_beta([(0.0, 1.0), (0.0, 1.0)], lambda a: pz, max_trials, "float", rng)
+            choose_beta([(0.0, 1.0), (0.0, 1.0)], lambda a: pz,
+                        _alpha_sequence(2, "float", rng), max_trials)
         reference = Random(7)
         for _ in range(max_trials + 1):
             reference.randint(1, 499) / reference.randint(1, 31)
@@ -581,6 +594,126 @@ class TestEarlyRankExit:
         ms = sequence_from_oracle(oracle, coords, 3, FLOAT_OVERSAMPLE)
         assert prony_polynomial_from_sequence(ms, 3, 1e-8, FLOAT_OVERSAMPLE).degree == 4
         assert calls == ["values", "values", "svd", "lstsq"]
+
+
+def _fail_first_match(monkeypatch):
+    """Make the first matching of a run exhaust its budget, so that
+    ``reconstruct`` falls back to a replacement direction."""
+    match, calls = _Pipeline.match, []
+
+    def patched(self, values, poly_for):
+        calls.append(None)
+        if len(calls) == 1:
+            raise MatchingFailure("injected")
+        return match(self, values, poly_for)
+
+    monkeypatch.setattr(_Pipeline, "match", patched)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestMatchingFallback:
+    def test_replacement_is_independent_of_the_later_base_rows(self, monkeypatch):
+        # (3, 6, 5) = z_1 + z_3 is independent of z_1 alone, but a base of
+        # z_1, z_1 + z_3 and z_3 is singular: it is rejected and (5, 1, 3)
+        # replaces z_2
+        draws = iter([(1, 2, 4), (4, 1, 2), (2, 4, 1), (3, 6, 5), (5, 1, 3)])
+        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self: next(draws))
+        _fail_first_match(monkeypatch)
+        cube = unit_cube()
+        vs = reconstruct(PolytopeMomentOracle(cube), 8, _cfg(), Random(1))
+        assert vs.vertices == tuple(sorted(cube.vertices))
+        assert vs.provenance.directions == [(1, 2, 4), (5, 1, 3), (2, 4, 1)]
+
+    @pytest.mark.parametrize("shape, r, seed", [
+        ("cube", 7, 7), ("cube", 7, 16), ("cube", 13, 19), ("parallelepiped", 7, 9),
+    ])
+    def test_small_denominator_replacements_span_the_base(self, monkeypatch, shape, r, seed):
+        # these draws once took a replacement for z_2 in the span of z_1 and
+        # z_3, so that assembly raised InputError("singular matrix"); each
+        # replacement is drawn against the d - 1 other base rows and is
+        # independent of them. The runs end in MatchingFailure after 13-16 s,
+        # so the test stops after three replacements
+        p = unit_cube() if shape == "cube" else random_parallelepiped(Random(0))
+        acquire, replacements = _Pipeline.acquire, []
+
+        def checked(self, existing=(), n=None):
+            coords, proj = acquire(self, existing, n)
+            if self.prov.directions:  # set once the base is complete
+                rows = [*existing, coords]
+                assert len(rows) == p.dim and rank_exact([list(z) for z in rows]) == p.dim
+                replacements.append(coords)
+                if len(replacements) == 3:
+                    raise _Stop
+            return coords, proj
+
+        monkeypatch.setattr(_Pipeline, "acquire", checked)
+        with pytest.raises((_Stop, MatchingFailure)):
+            reconstruct(PolytopeMomentOracle(p), p.n_vertices,
+                        RunConfig(denominator=r, seed=seed), Random(seed))
+        assert replacements
+
+    def test_replacement_showing_more_vertices_raises_rank_instability(self, monkeypatch):
+        # (1, -1) and (1, 1) each collide two square vertices, so the base
+        # counts 3; the replacement (1, 2) is full rank at 3, and acquire's
+        # re-probe at nmax returns its 4 projections
+        draws = iter([(1, -1), (1, 1), (1, 2)])
+        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self: next(draws))
+        _fail_first_match(monkeypatch)
+        with pytest.raises(RankInstability, match="shows 4 vertices, not 3"):
+            reconstruct(PolytopeMomentOracle(unit_square()), 4, _cfg(), Random(1))
+
+
+def _ngon(n):
+    """The polygon (k, k^2/7), k < n."""
+    bare = Polytope(dim=2, vertices=tuple((F(k), F(k * k, 7)) for k in range(n)))
+    return Polytope(dim=2, vertices=bare.vertices, cones=polygon_cones(bare))
+
+
+class TestSelfCheckRejects:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float_ngon8(self, seed):
+        # float rank detection undercounts ngon(8); the forward self-check
+        # sees it (residual 0.08-0.17)
+        oracle = PolytopeMomentOracle(_ngon(8), mode="float")
+        with pytest.raises(OracleDisagreement, match="residual"):
+            reconstruct(oracle, 8, RunConfig(mode="float", seed=seed), Random(seed),
+                        self_check=True)
+
+    def test_exact_forward_branch(self):
+        pipe = _Pipeline(PolytopeMomentOracle(unit_square()), 4, _cfg(), Random(1))
+        wide = [(F(0), F(0)), (F(2), F(0)), (F(2), F(1)), (F(0), F(1))]
+        with pytest.raises(OracleDisagreement):
+            _self_check(pipe, wide)
+        assert pipe.prov.self_check_residual == 1.0
+
+    def test_exact_projection_branch(self):
+        # no triangulation of 8 points in 3-D: the held-out projections decide
+        cube = unit_cube()
+        moved = [v if v != (1, 1, 1) else (F(1), F(1), F(2)) for v in cube.vertices]
+        pipe = _Pipeline(PolytopeMomentOracle(cube), 8, _cfg(), Random(1))
+        with pytest.raises(OracleDisagreement):
+            _self_check(pipe, moved)
+        assert pipe.prov.self_check_residual == 1.0
+        _self_check(pipe, list(cube.vertices))
+        assert pipe.prov.self_check_residual == 0.0
+
+    def test_inconclusive_when_every_draw_is_unusable(self, monkeypatch):
+        # (1, 0, 0) projects the cube onto two values
+        cube = unit_cube()
+        pipe = _Pipeline(PolytopeMomentOracle(cube), 8, _cfg(), Random(1))
+        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self: (1, 0, 0))
+        with pytest.warns(UserWarning, match="inconclusive"):
+            _self_check(pipe, list(cube.vertices))
+        assert pipe.prov.self_check_residual is None
+
+    @pytest.mark.parametrize("oracle_mode, config_mode", [("exact", "float"), ("float", "exact")])
+    def test_config_mode_must_match_the_oracle(self, oracle_mode, config_mode):
+        oracle = PolytopeMomentOracle(unit_square(), mode=oracle_mode)
+        with pytest.raises(InputError, match="config mode"):
+            _Pipeline(oracle, 4, RunConfig(mode=config_mode), None)
 
 
 class TestFrugal:

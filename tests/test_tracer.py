@@ -7,10 +7,12 @@ from importlib import import_module
 from pathlib import Path
 from random import Random
 
-from conftest import unit_triangle
+from conftest import unit_cube, unit_triangle
 from polymom.config import RunConfig
-from polymom.moments import PolytopeMomentOracle
+from polymom.geometry import sample_generic_direction
+from polymom.moments import PolytopeMomentOracle, moment_sequence
 from polymom.numeric import poly_parse
+from polymom.prony import moments_needed
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,11 +32,22 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         dense = PolytopeMomentOracle(unit_triangle(), poly_parse("2 + x1 - x2", 2))
         dense_result = tracer.call_op(1, "reconstruct", lambda: tracing.reconstruct.reconstruct(
             dense, 3, RunConfig(seed=1), Random(1)))
+        adaptive_pairings = tracer.calls["reconstruct.choose_beta"]
+        # the sequence driver pairs its d - 1 directions through the same loop
+        cube, rng = unit_cube(), Random(2)
+        base = [sample_generic_direction(3, rng=rng).coords for _ in range(3)]
+        combined = [tuple(a + beta * b for a, b in zip(base[0], zi))
+                    for zi in base[1:] for beta in (1, 2, 3)]
+        sequences = [moment_sequence(cube, z, moments_needed(3, 8, 0)) for z in base + combined]
+        from_files = tracer.call_op(2, "sequences", lambda: (
+            tracing.reconstruct.reconstruct_from_sequences(sequences, 8)))
     finally:
         tracer.uninstall()
     assert len(result.vertices) == 3 and dense_result.vertices == result.vertices
     # the matching core shows in its own layers
-    assert tracer.calls["reconstruct.choose_beta"] == 2
+    assert adaptive_pairings == 2
+    assert from_files.vertices == tuple(sorted(cube.vertices))
+    assert tracer.calls["reconstruct.choose_beta"] == 2 + 2
     assert tracer.calls["reconstruct.match"] >= 2
     # one root search per base direction, and one per combined direction
     # in exact matching: 2 + 1 on the triangle
