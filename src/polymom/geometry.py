@@ -208,7 +208,7 @@ def triangulation_of(p: Polytope):
 
 def polygon_cones(p: Polytope):
     """Tangent cones of a convex polygon: the two incident edge vectors."""
-    order, offsets = _angular_order(p.vertices)
+    order, _ = _angular_order(p.vertices)
     n = len(order)
     cones = []
     for k, idx in enumerate(order):
@@ -218,8 +218,7 @@ def polygon_cones(p: Polytope):
         edges = (_sub(prev_v, v), _sub(next_v, v))
         (a, b), (c, e) = edges
         # float vertices keep the exact determinant of their binary values
-        det = abs(Fraction(a * e - b * c) if offsets is not None
-                  else linalg.det_exact([[a, c], [b, e]]))
+        det = abs(Fraction(a) * Fraction(e) - Fraction(b) * Fraction(c))
         if det == 0:
             raise InputError("degenerate polygon corner")
         cones.append(TangentCone(vertex=idx, edges=edges, det=det))

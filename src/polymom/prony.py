@@ -87,6 +87,8 @@ def rank_and_kernel(h: HankelSystem):
     The pipeline does not call this. It is the independent Bareiss oracle
     that the tests check the Berlekamp-Massey solve against.
     """
+    if h.mode != EXACT:
+        raise InputError("rank_and_kernel takes an exact Hankel matrix")
     basis = linalg.kernel_basis([list(r) for r in h.rows])
     return h.m - len(basis), basis
 

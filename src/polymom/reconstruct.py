@@ -539,13 +539,10 @@ def match_frugal_d_plus_1(
 
 def _derive_beta(z, z1, zi, mode):
     """beta with z = z1 + beta * zi, or None."""
-    beta = None
-    for t in range(len(z)):
-        if zi[t] != 0:
-            beta = (z[t] - z1[t]) / zi[t]
-            break
-    if beta is None:
+    t = next((t for t, c in enumerate(zi) if c != 0), None)
+    if t is None:
         return None
+    beta = (z[t] - z1[t]) / zi[t]
     for a, b, c in zip(z, z1, zi):
         lhs, rhs = a, b + beta * c
         if mode == EXACT:
@@ -605,6 +602,8 @@ def reconstruct_from_sequences(
             beta = _derive_beta(coords, base[0], base[i], mode)
             if beta is not None:
                 stated.setdefault((1, beta), coords)
+        if not stated:
+            raise MatchingFailure(f"no supplied combined direction matches base direction {i}")
         alphas, hits, failures = choose_beta(
             [x1, projs[i].values], lambda a: pipe.poly_at(stated[a], n),
             stated, len(stated),

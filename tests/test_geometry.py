@@ -340,7 +340,8 @@ class TestPolygonCones:
             p = random_polygon(rng)
             floats = Polytope(dim=2, vertices=tuple(
                 tuple(float(x) for x in v) for v in p.vertices))
-            for q in (p, floats):
+            mixed = Polytope(dim=2, vertices=floats.vertices[:1] + p.vertices[1:])
+            for q in (p, floats, mixed):
                 for c in polygon_cones(q):
                     want = abs(linalg.det_exact([list(col) for col in zip(*c.edges)]))
                     assert type(c.det) is Fraction and c.det == want

@@ -104,6 +104,11 @@ class TestRankAndKernel:
         assert rank == 0
         assert len(kernel) == 3
 
+    def test_float_matrix_rejected(self):
+        # an exact elimination of float data would read noise as full rank
+        with pytest.raises(InputError, match="exact Hankel"):
+            rank_and_kernel(build_hankel((0.0, 0.0, 1.0, 3.0, 7.0), 3))
+
     def test_float_rank_matches_exact(self, rng):
         # float rank detection goes through the node-rescaled pipeline path;
         # noise 0, threshold 1e-8

@@ -634,8 +634,9 @@ class TestMatchingFallback:
         # these draws once took a replacement for z_2 in the span of z_1 and
         # z_3, so that assembly raised InputError("singular matrix"); each
         # replacement is drawn against the d - 1 other base rows and is
-        # independent of them. The runs end in MatchingFailure after 13-16 s,
-        # so the test stops after three replacements
+        # independent of them. These exact matchings fail at every budget and
+        # draw no random coefficients, so a budget of one trial sees the same
+        # replacements; the test stops after three of them
         p = unit_cube() if shape == "cube" else random_parallelepiped(Random(0))
         acquire, replacements = _Pipeline.acquire, []
 
@@ -652,7 +653,7 @@ class TestMatchingFallback:
         monkeypatch.setattr(_Pipeline, "acquire", checked)
         with pytest.raises((_Stop, MatchingFailure)):
             reconstruct(PolytopeMomentOracle(p), p.n_vertices,
-                        RunConfig(denominator=r, seed=seed), Random(seed))
+                        RunConfig(denominator=r, seed=seed, beta_trials=1), Random(seed))
         assert replacements
 
     def test_replacement_showing_more_vertices_raises_rank_instability(self, monkeypatch):
@@ -801,7 +802,7 @@ class TestSequenceReconstruction:
     def test_missing_combined_direction(self):
         tri = unit_triangle()
         seqs = self._sequences(tri, [(F(1), F(2)), (F(2), F(1))], 7)
-        with pytest.raises(MatchingFailure):
+        with pytest.raises(MatchingFailure, match="matches base direction 1"):
             reconstruct_from_sequences(seqs, 3)
 
     def test_too_few_directions(self):
