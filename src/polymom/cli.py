@@ -72,8 +72,7 @@ def _parse_direction(text, dim, mode):
 
 
 def _config_from_args(args, mode):
-    return RunConfig(mode=mode, denominator=args.denominator, seed=args.seed,
-                     rank_tol=args.rank_tol, noise=args.noise)
+    return RunConfig(mode=mode, denominator=args.denominator, seed=args.seed, noise=args.noise)
 
 
 def _density_from_args(args, dim):
@@ -199,7 +198,6 @@ def _add_common(sub):
     cfg = RunConfig()
     sub.add_argument("--mode", choices=[EXACT, FLOAT], default=cfg.mode)
     sub.add_argument("--seed", type=int, default=cfg.seed)
-    sub.add_argument("--rank-tol", dest="rank_tol", type=float, default=cfg.rank_tol)
     sub.add_argument(
         "--denominator", type=int, default=cfg.denominator,
         help="prime r for sampled directions z in {0, 1/r, ..., (r-1)/r}^d (exact mode: r z)",

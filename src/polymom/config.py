@@ -8,13 +8,12 @@ from .errors import InputError
 from .geometry import DEFAULT_DENOMINATOR, _is_prime
 from .moments import _check_noise
 from .numeric import EXACT, FLOAT
-from .prony import DEFAULT_RANK_TOL
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Sampling parameters, the rank threshold, the matching budget and the
-    noise level.
+    """Sampling parameters, the matching budget and the noise level. The
+    float rank threshold is the constant ``prony.DEFAULT_RANK_TOL``.
 
     ``beta_trials`` of None means the per-pair default N^3 + 1 from the
     de-randomized matching search.
@@ -23,15 +22,12 @@ class RunConfig:
     mode: str = EXACT
     denominator: int = DEFAULT_DENOMINATOR
     seed: int | None = None
-    rank_tol: float = DEFAULT_RANK_TOL
     beta_trials: int | None = None
     noise: float = 0.0
 
     def validate(self, nmax: int | None = None):
         if self.mode not in (EXACT, FLOAT):
             raise InputError(f"unknown mode {self.mode!r}")
-        if not 0 < self.rank_tol < 1:
-            raise InputError("rank_tol must lie strictly between 0 and 1")
         if self.beta_trials is not None and self.beta_trials < 1:
             raise InputError("beta_trials must be at least 1")
         _check_noise(self.noise)

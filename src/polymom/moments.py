@@ -494,6 +494,8 @@ def moment_sequence(
     if count < 0:
         raise InputError(f"moment count must be nonnegative, got {count}")
     coords = _direction_coords(z)
+    _check_direction(p, coords)
+    _check_density(p, rho)
     mode = _data_mode(p, coords, rho)
     if route == "brion":
         moments = axial_moments_brion_density(p, coords, count, rho)
@@ -515,6 +517,16 @@ def moment_sequence(
         mode=mode,
         moments=tuple(moments),
     )
+
+
+def _check_direction(p: Polytope, coords):
+    if len(coords) != p.dim:
+        raise InputError(f"direction {coords} has {len(coords)} coordinates, need {p.dim}")
+
+
+def _check_density(p: Polytope, rho: MultiPoly | None):
+    if rho is not None and rho.dim != p.dim:
+        raise InputError(f"density in {rho.dim} variables on a polytope of dimension {p.dim}")
 
 
 def _moments_close(a, b, mode):
@@ -688,6 +700,7 @@ class PolytopeMomentOracle:
             density = density.to_float() if density is not None else None
         elif noise:
             raise InputError("noise requires float mode")
+        _check_density(polytope, density)
         self.polytope = polytope
         self.density = density
         self.mode = mode
@@ -715,6 +728,9 @@ class PolytopeMomentOracle:
         batch first unless (coords, count - 1) is stored."""
         values = self._values
         if (coords, count - 1) not in values:
+            _check_direction(self.polytope, coords)
+            if self.mode == EXACT and any(isinstance(x, float) for x in coords):
+                raise InputError(f"exact oracle handed the float direction {coords}")
             if self.route == "direct":
                 batch = axial_moments_direct(self.polytope, coords, count, self.density)
             else:

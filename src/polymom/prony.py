@@ -13,11 +13,12 @@ polynomial s^n p(u/s) (Gauss's lemma): integer Newton on g/g' (Schroeder's
 iteration), else on g, lifts float seeds to them and an exact evaluation
 certifies each one. Each root is divided out as often as it divides; a
 repeated root left behind is a simple root of a derivative, so the search
-walks the derivative chain of the remainder. Float mode uses SVD rank
-detection with a relative threshold and companion-matrix eigenvalues with
-root clustering: the Hankel is indexed once into an array, the rank at m
-and at m-1 comes from values-only SVDs of it and of its leading block, and
-one reduced SVD of the square Hankel gives the kernel. A combined direction
+walks the derivative chain of the remainder. Float mode rescales the nodes
+to about unit size and uses SVD rank detection with the relative threshold
+DEFAULT_RANK_TOL and companion-matrix eigenvalues with root clustering: the
+Hankel is indexed once into an array, the rank at m and at m-1 comes from
+values-only SVDs of it and of its leading block, and one reduced SVD of the
+square Hankel gives the kernel. A combined direction
 of the reconstruction pipeline must show a known rank; a trial whose rank
 at m differs stops after that first SVD.
 """
@@ -42,7 +43,7 @@ from .errors import (
     RankNotDivisible,
 )
 from .moments import MomentSequence, scaled_moment_vector
-from .numeric import EXACT, FLOAT
+from .numeric import EXACT
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_REAL_TOL = 1e-7
@@ -54,29 +55,28 @@ DEFAULT_SEPARATION_TOL = 5e-2
 
 @dataclass(frozen=True)
 class HankelSystem:
-    """The m x m Hankel matrix H[i][j] = c_{i+j+1} over exact rationals or
-    floats."""
+    """The m x m Hankel matrix H[i][j] = c_{i+j+1} over exact rationals."""
 
     m: int
     rows: tuple
-    mode: str
 
 
 def build_hankel(c, m: int) -> HankelSystem:
-    """H[i][j] = c_{i+j+1} (c given as the list c_1, c_2, ...)."""
+    """H[i][j] = c_{i+j+1} (c given as the list c_1, c_2, ...); a float
+    entry raises InputError."""
     if len(c) < 2 * m - 1:
         raise InsufficientMoments(f"need {2 * m - 1} scaled entries, have {len(c)}")
-    mode = FLOAT if any(isinstance(x, float) for x in c[: 2 * m - 1]) else EXACT
-    rows = tuple(tuple(c[i + j] for j in range(m)) for i in range(m))
-    return HankelSystem(m=m, rows=rows, mode=mode)
+    if any(isinstance(x, float) for x in c[: 2 * m - 1]):
+        raise InputError("a Hankel matrix takes exact entries")
+    return HankelSystem(m=m, rows=tuple(tuple(c[i + j] for j in range(m)) for i in range(m)))
 
 
-def _svd_rank(a, rank_tol):
+def _svd_rank(a):
     """Numerical rank of the float array a from its singular values alone."""
     sigma = np.linalg.svd(a, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > rank_tol * sigma[0]))
+    return int(np.sum(sigma > DEFAULT_RANK_TOL * sigma[0]))
 
 
 def rank_and_kernel(h: HankelSystem):
@@ -87,8 +87,6 @@ def rank_and_kernel(h: HankelSystem):
     The pipeline does not call this. It is the independent Bareiss oracle
     that the tests check the Berlekamp-Massey solve against.
     """
-    if h.mode != EXACT:
-        raise InputError("rank_and_kernel takes an exact Hankel matrix")
     basis = linalg.kernel_basis([list(r) for r in h.rows])
     return h.m - len(basis), basis
 
@@ -190,32 +188,17 @@ def _exact_kernel(c, m: int) -> tuple:
     return tuple(conn[length - j] for j in range(length))
 
 
-def minimal_kernel_vector(
-    h: HankelSystem, rank_tol: float = DEFAULT_RANK_TOL, multiplicity: int = 1,
-    scale=1,
-) -> PronyPolynomial:
+def minimal_kernel_vector(h: HankelSystem) -> PronyPolynomial:
     """The unique kernel vector (a_0, ..., a_{M-1}, 1, 0, ..., 0) with
     minimal M; M equals the rank for moment data from a polytope.
 
-    Exact mode runs the Berlekamp-Massey solve on the sequence read off
-    the Hankel (first row, then last column) and raises FullRankHankel or
-    RankInstability as ``prony_polynomial_from_sequence`` does.
+    Runs the Berlekamp-Massey solve on the sequence read off the Hankel
+    (first row, then last column) and raises FullRankHankel or
+    RankInstability as the pipeline's ``prony_polynomial_from_sequence`` does.
     """
-    if h.mode == EXACT:
-        last = h.m - 1
-        seq = [h.rows[max(0, k - last)][min(k, last)] for k in range(2 * h.m - 1)]
-        return PronyPolynomial(
-            coeffs=_exact_kernel(seq, h.m), multiplicity=multiplicity,
-            scale=scale,
-        )
-    a = np.array(h.rows, dtype=float)
-    rank = _svd_rank(a, rank_tol)
-    if rank == h.m:
-        raise FullRankHankel(
-            f"Hankel matrix of size {h.m} has full numerical rank; "
-            "request more moments"
-        )
-    return _float_kernel(a, rank, multiplicity, scale)
+    last = h.m - 1
+    seq = [h.rows[max(0, k - last)][min(k, last)] for k in range(2 * h.m - 1)]
+    return PronyPolynomial(coeffs=_exact_kernel(seq, h.m))
 
 
 def _float_kernel(a, rank: int, mult: int, scale) -> PronyPolynomial:
@@ -428,13 +411,14 @@ def roots_exact(p: PronyPolynomial) -> dict:
     return result
 
 
-def roots_float(p: PronyPolynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+def roots_float(p: PronyPolynomial):
     """Real roots with multiplicities via companion-matrix eigenvalues.
 
     Roots with |imag| <= DEFAULT_REAL_TOL are kept; roots within
-    cluster_tol of each other (relative) merge into one cluster whose
-    multiplicity is the cluster size. Large residuals attach a warning,
-    not an error.
+    max(DEFAULT_CLUSTER_TOL, 10^(-12/k)) of each other (relative; k the
+    multiplicity, as triple and higher roots splay under noise) merge into
+    one cluster whose multiplicity is the cluster size. Large residuals
+    attach a warning, not an error.
     """
     if p.degree == 0:
         return []
@@ -443,6 +427,7 @@ def roots_float(p: PronyPolynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     real = sorted(r.real for r in raw if abs(r.imag) <= DEFAULT_REAL_TOL)
     if not real:
         return []
+    cluster_tol = max(DEFAULT_CLUSTER_TOL, 10 ** (-12 / p.multiplicity))
     span = cluster_tol * (1.0 + max(abs(r) for r in real))
     clusters = []
     for r in real:
@@ -569,7 +554,6 @@ def moments_needed(dim: int, nmax: int, density_degree: int,
 def prony_polynomial_from_sequence(
     ms: MomentSequence,
     nmax: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
     oversample: int = 0,
     *,
     _rank: int | None = None,
@@ -606,9 +590,9 @@ def prony_polynomial_from_sequence(
     scale = _estimate_scale(c)
     _rescale(c, scale)
     a = np.array(c, dtype=float)[np.add.outer(np.arange(m), np.arange(m))]
-    rank_m = _svd_rank(a, rank_tol)
+    rank_m = _svd_rank(a)
     _check_rank(rank_m, _rank)
-    rank_prev = _svd_rank(a[:-1, :-1], rank_tol)
+    rank_prev = _svd_rank(a[:-1, :-1])
     if rank_m == m:
         raise FullRankHankel(
             f"Hankel rank {rank_m} is full at m={m}; nmax={nmax} too small"
@@ -633,7 +617,6 @@ def _check_rank(found, rank):
 def projections_from_moments(
     ms: MomentSequence,
     nmax: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
     separation_tol: float = DEFAULT_SEPARATION_TOL,
     oversample: int = 0,
 ) -> ProjectionSet:
@@ -643,10 +626,13 @@ def projections_from_moments(
     root of the minimal kernel polynomial must carry multiplicity exactly
     density_degree + 1. In float mode, projections separated by less than
     ``separation_tol`` of the spread are intrinsically ill-conditioned and
-    reported as a collision so the caller can resample.
+    reported as a collision so the caller can resample. An nmax below 1
+    raises InputError.
     """
+    if nmax < 1:
+        raise InputError("nmax must be at least 1")
     mult = ms.density_degree + 1
-    poly = prony_polynomial_from_sequence(ms, nmax, rank_tol, oversample)
+    poly = prony_polynomial_from_sequence(ms, nmax, oversample)
     rank = poly.degree
     if ms.mode == EXACT:
         root_map = roots_exact(poly)
@@ -657,9 +643,7 @@ def projections_from_moments(
             )
         values = tuple(sorted(root_map))
     else:
-        # triple and higher roots splay under noise; widen the cluster window
-        cluster_tol = max(DEFAULT_CLUSTER_TOL, 10 ** (-12 / mult))
-        clusters = roots_float(poly, cluster_tol)
+        clusters = roots_float(poly)
         bad = [(r, k) for r, k in clusters if k != mult]
         if bad:
             raise MultiplicityMismatch(

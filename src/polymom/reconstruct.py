@@ -131,17 +131,13 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, match_tol=FLOAT_TOL):
     match_tol), or None when pz has an irrational root. Exact data searches
     the roots once: their multiplicities add up to the degree, so a
     candidate is a root exactly when it is a key. Float data builds every
-    candidate sum by broadcasting and runs ``pz.eval``'s Horner on them all
-    at once, with the same operations in the same order."""
+    candidate sum by broadcasting and runs ``pz.eval`` on them all at once."""
     scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
     if _is_float(values):
         d = len(scaled)
-        x = sum(np.reshape(row, (-1,) + (1,) * (d - 1 - k))
-                for k, row in enumerate(scaled)) / pz.scale  # x / 1 is x, bit for bit
+        x = sum(np.reshape(row, (-1,) + (1,) * (d - 1 - k)) for k, row in enumerate(scaled))
         with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
-            total = np.ones_like(x)
-            for a in reversed(pz.coeffs):
-                total = total * x + a
+            total = np.broadcast_to(pz.eval(x), x.shape)  # degree 0: the scalar 1
         return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
     try:
         hit = prony.roots_exact(pz).__contains__
@@ -254,15 +250,14 @@ class _Pipeline:
         # DEFAULT_SEPARATION_TOL is calibrated at 1e-9 relative noise
         sep = DEFAULT_SEPARATION_TOL * (max(cfg.noise, 1e-15) / 1e-9) ** 0.5
         sep = min(max(sep, 1e-9), DEFAULT_SEPARATION_TOL)
-        return projections_from_moments(ms, n_for_hankel, cfg.rank_tol, sep, self.oversample)
+        return projections_from_moments(ms, n_for_hankel, sep, self.oversample)
 
     def poly_at(self, coords, n) -> PronyPolynomial:
         """Kernel polynomial of a combined direction, on which all n
         vertices must show; any other rank raises RankInstability."""
         ms = sequence_from_oracle(self.oracle, coords, n, self.oversample)
         return prony_polynomial_from_sequence(
-            ms, n, self.config.rank_tol, self.oversample,
-            _rank=(self.oracle.density_degree + 1) * n,
+            ms, n, self.oversample, _rank=(self.oracle.density_degree + 1) * n
         )
 
     def acquire(self, existing=(), n=None):

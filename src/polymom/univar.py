@@ -7,6 +7,9 @@ at theta = <w, a>. The minus sign is forced by the product-rule expansion
 of f and is verified by the test suite. f has degree <= n in s, so g is a
 linear functional of n+1 samples, sum_k L_k'(0) p_{a + s_k b}(t) over the
 Lagrange basis L_k of the nodes s_k; no interpolant is built.
+
+The route runs on exact data only: float data raises InputError before a
+moment is drawn, and goes through ``reconstruct`` instead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import (
     NonGenericDirection,
     RankInstability,
 )
-from .geometry import dot
 from .numeric import EXACT
 from .prony import PronyPolynomial, poly_derivative, poly_eval, poly_nth_root
 from .reconstruct import VertexSet, _Pipeline
@@ -29,9 +31,7 @@ from .reconstruct import VertexSet, _Pipeline
 def _interpolate(nodes, columns):
     """Interpolant coefficients (lowest-first) through (nodes[i],
     column[i]) for each column, all over one Lagrange basis."""
-    is_float = any(isinstance(x, float) for seq in (nodes, *columns) for x in seq)
-    one = 1.0 if is_float else Fraction(1)
-    zero = one - one
+    one, zero = Fraction(1), Fraction(0)
     n = len(nodes)
     outs = [[zero] * n for _ in columns]
     for i in range(n):
@@ -64,15 +64,8 @@ def _squarefree_projection_poly(poly: PronyPolynomial, multiplicity: int):
     """Coefficients (lowest-first, monic) of prod(t - <v,z>) from the
     kernel polynomial, stripping the density multiplicity."""
     full = poly.full_coeffs()
-    if poly.scale != 1:
-        # undo the float-mode node rescaling
-        s = float(poly.scale)
-        deg = len(full) - 1
-        full = [c * s ** (deg - i) for i, c in enumerate(full)]
     if multiplicity == 1:
         return full
-    if isinstance(full[0], float):
-        raise InputError("float-mode density deflation is not supported here")
     root = poly_nth_root(full, multiplicity)
     if root is None:
         raise RankInstability(
@@ -81,17 +74,23 @@ def _squarefree_projection_poly(poly: PronyPolynomial, multiplicity: int):
     return root
 
 
-def _node_pool(n, mode, limit=512):
-    """Deterministic interpolation nodes: the integers 0..n (ints in exact
-    mode, so integer directions stay integer), then half-integer and deeper
-    rational offsets for non-generic samples."""
-    for k in range(n + 1):
-        yield k if mode == EXACT else float(k)
+def _node_pool(n, limit=512):
+    """Deterministic interpolation nodes: the integers 0..n (ints, so
+    integer directions stay integer), then half-integer and deeper rational
+    offsets for non-generic samples."""
+    yield from range(n + 1)
     denom = 2
     while denom < limit:
         for num in range(1, 2 * denom * (n + 1), 2):
-            yield Fraction(num, denom) if mode == EXACT else num / denom
+            yield Fraction(num, denom)
         denom *= 2
+
+
+def _exact(pipe: _Pipeline) -> _Pipeline:
+    """The pipeline, unless it runs on float data (InputError)."""
+    if pipe.config.mode != EXACT:
+        raise InputError("the univariate route takes exact data; use reconstruct for float data")
+    return pipe
 
 
 def _sample(pipe, a, b, n, known_pa):
@@ -101,7 +100,7 @@ def _sample(pipe, a, b, n, known_pa):
     mult = pipe.oracle.density_degree + 1
     nodes, polys = [], []
     failures = 0
-    for s in _node_pool(n, pipe.config.mode):
+    for s in _node_pool(n):
         if s == 0 and known_pa is not None:
             poly = known_pa
         else:
@@ -130,7 +129,7 @@ def interpolate_fab(oracle, a, b, n, pipeline=None, config=None, known_pa=None):
     Non-generic sample values of s are detected by the Prony solve and
     replaced from a rational fallback pool.
     """
-    pipe = pipeline if pipeline is not None else _Pipeline(oracle, n, config, None)
+    pipe = _exact(pipeline if pipeline is not None else _Pipeline(oracle, n, config, None))
     nodes, polys = _sample(pipe, a, b, n, known_pa)
     return _interpolate(nodes, [[p[i] for p in polys] for i in range(n + 1)])
 
@@ -141,7 +140,7 @@ def _derivative_weights(nodes):
     factor s - s_0 = s of L_k vanishes at 0, so w_k = (1/s_k) prod over
     j not in {0, k} of s_j / (s_j - s_k); on the nodes 0..n, w_0 = -H_n and
     w_k = (-1)^(k-1) C(n,k) / k."""
-    one = Fraction(1)  # exact for int nodes; a float node gives 1 / s
+    one = Fraction(1)  # exact for int nodes
     weights = [-sum(one / s for s in nodes[1:])]
     for k in range(1, len(nodes)):
         w = one / nodes[k]
@@ -172,11 +171,9 @@ def vertices_univar(
     -g_{a,b_j}(theta) / (u p_a'(theta)) with b_j = u e_j scaled like a
     sampled a = u z (``_Pipeline.unit``), so that samples see u (z + s e_j).
     Repeated roots of p_a trigger a resample of the base direction (handled
-    upstream by the Prony multiplicity check). g is linear in b, so
-    sum_j a_j g_{a,e_j} = g_{a,a} = -theta p_a'(theta) and <v, a> = theta
-    exactly: a float result far off it raises RankInstability.
+    upstream by the Prony multiplicity check).
     """
-    pipe = _Pipeline(oracle, nmax, config, rng)
+    pipe = _exact(_Pipeline(oracle, nmax, config, rng))
     d = oracle.dim
     mult = oracle.density_degree + 1
 
@@ -198,18 +195,12 @@ def vertices_univar(
         weights = _derivative_weights(nodes)
         g.append([sum(w * p[i] for w, p in zip(weights, polys)) for i in range(n)])
 
-    vertices, thetas = [], proj.values
-    for theta in thetas:
+    vertices = []
+    for theta in proj.values:
         dp = poly_eval(pa_derivative, theta)
         if dp == 0:
             raise RankInstability("repeated root of p_a; resample the direction")
         vertices.append(tuple(-poly_eval(g[j], theta) / (unit * dp) for j in range(d)))
-    if pipe.config.mode != EXACT and thetas:
-        miss = max(abs(dot(v, a) - t) for v, t in zip(vertices, thetas))
-        residual = miss / (1.0 + thetas[-1] - thetas[0])
-        if residual > pipe.residual_bound:
-            raise RankInstability(f"univariate vertices miss their base projections: "
-                                  f"residual {residual:.3e} above {pipe.residual_bound:.1e}")
     pipe.prov.directions = [a]
     pipe.prov.ranks = [proj.rank]
     return pipe.finish(vertices)

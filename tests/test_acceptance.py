@@ -290,7 +290,6 @@ def test_criterion_9_noise_robustness():
                     )
                     cfg = RunConfig(
                         mode="float", seed=seed, denominator=10007, noise=noise,
-                        rank_tol=1e-8,
                     )
                     vs = reconstruct(oracle, nmax, cfg, rng=Random(100 + seed))
                     err = reconstruction_error(p, vs)

@@ -1,6 +1,7 @@
 """Command line surface: flows, formats, exit codes, determinism."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -12,11 +13,12 @@ import pytest
 
 import polymom
 from conftest import square_pyramid, unit_square, unit_triangle
-from polymom import cli
+from polymom import cli, prony
 from polymom.cli import main
 from polymom.config import RunConfig
 from polymom.errors import NonGenericDirection
 from polymom.geometry import polytope_to_json, save_polytope
+from polymom.univar import interpolate_fab, vertices_univar
 
 F = Fraction
 
@@ -135,14 +137,11 @@ def test_negative_density_degree_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("reconstruct", ["--rank-tol", "nan"]),
-    ("reconstruct", ["--rank-tol", "1.5"]),
     ("reconstruct", ["--noise", "nan"]),
     ("reconstruct", ["--noise", "inf"]),
     ("moments", ["--noise", "nan"]),
     ("moments", ["--noise=-1e-9"]),
-], ids=["rank-tol-nan", "rank-tol-above-1", "noise-nan", "noise-inf",
-        "moments-noise-nan", "moments-noise-negative"])
+], ids=["noise-nan", "noise-inf", "moments-noise-nan", "moments-noise-negative"])
 def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
     if command == "moments":
         args = ["moments", square_file, *MOMENTS_ARGS]
@@ -158,9 +157,18 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
 
 def test_option_surface():
     # every RunConfig field but beta_trials is a flag of every subcommand,
-    # with the field's default
+    # with the field's default; the float thresholds are constants
     fields = [f.name for f in dataclasses.fields(RunConfig)]
-    assert fields == ["mode", "denominator", "seed", "rank_tol", "beta_trials", "noise"]
+    assert fields == ["mode", "denominator", "seed", "beta_trials", "noise"]
+    for fn, names in (
+        (prony.prony_polynomial_from_sequence, ["ms", "nmax", "oversample", "_rank"]),
+        (prony.projections_from_moments, ["ms", "nmax", "separation_tol", "oversample"]),
+        (prony.minimal_kernel_vector, ["h"]),
+        (prony.roots_float, ["p"]),
+        (vertices_univar, ["oracle", "nmax", "config", "rng", "base_direction"]),
+        (interpolate_fab, ["oracle", "a", "b", "n", "pipeline", "config", "known_pa"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
     defaults = RunConfig()
     parser = cli.build_parser()
     for argv in (["moments", "p.json", *MOMENTS_ARGS],
@@ -173,13 +181,26 @@ def test_option_surface():
         assert all(getattr(args, name) == getattr(defaults, name) for name in flagged)
 
 
-@pytest.mark.parametrize("flag", ["--real-tol", "--cluster-tol", "--match-tol"])
+@pytest.mark.parametrize("flag", ["--real-tol", "--cluster-tol", "--match-tol", "--rank-tol"])
 def test_removed_tolerance_flag_exit_2(square_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", "--oracle-polytope", square_file, "--nmax", "4",
               "--mode", "float", flag, "1e-7"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["univar", "--oracle-polytope", "{p}", "--nmax", "4"],
+    ["roundtrip", "{p}", "--nmax", "4", "--method", "univar"],
+], ids=["univar", "roundtrip"])
+def test_float_univar_exit_2(square_file, capsys, argv):
+    # the univariate route is exact only; float data goes through reconstruct
+    code = main([a.format(p=square_file) for a in argv] + ["--mode", "float"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact data" in captured.err and "Traceback" not in captured.err
 
 
 def test_denominator_beyond_the_primality_bound_exit_2(square_file, capsys):

@@ -1035,6 +1035,39 @@ class TestOracleBookkeeping:
         assert oracle.unique_count == 0
         assert oracle.moment(ms.direction, 2) == ms.moments[2]
 
+    @pytest.mark.parametrize("route", ["brion", "direct", "both"])
+    def test_direction_of_another_length_rejected(self, route):
+        # zip would cut (1, 2, 3) to (1, 2) and label the moments (1, 2, 3)
+        with pytest.raises(InputError, match="3 coordinates, need 2"):
+            moment_sequence(unit_square(), (1, 2, 3), 3, route=route)
+
+    @pytest.mark.parametrize("route", ["brion", "direct"])
+    def test_oracle_direction_of_another_length_rejected(self, route):
+        oracle = PolytopeMomentOracle(unit_square(), route=route)
+        with pytest.raises(InputError, match="3 coordinates, need 2"):
+            oracle.sequence((1, 2, 3), 3)
+        with pytest.raises(InputError, match="1 coordinates, need 2"):
+            oracle.moment((1,), 0)
+        assert oracle.unique_count == 0
+
+    def test_density_of_another_dimension_rejected(self):
+        # a density in x1 alone gave all-zero moments on the square
+        rho = poly_parse("1 + x1", 1)
+        with pytest.raises(InputError, match="density in 1 variables"):
+            moment_sequence(unit_square(), (1, 2), 3, rho)
+        for mode in ("exact", "float"):
+            with pytest.raises(InputError, match="density in 1 variables"):
+                PolytopeMomentOracle(unit_square(), rho, mode=mode)
+
+    def test_exact_oracle_rejects_a_float_direction(self):
+        # its float moments were labelled exact, and the exact solve crashed
+        oracle = PolytopeMomentOracle(unit_square())
+        with pytest.raises(InputError, match="float direction"):
+            oracle.sequence((0.3, 0.7), 9)
+        with pytest.raises(InputError, match="float direction"):
+            oracle.moment((F(3, 10), 0.7), 2)
+        assert oracle.unique_count == 0
+
 
 class TestPyramidForward:
     def test_triangulated_brion_matches_direct(self):

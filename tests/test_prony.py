@@ -105,13 +105,15 @@ class TestRankAndKernel:
         assert len(kernel) == 3
 
     def test_float_matrix_rejected(self):
-        # an exact elimination of float data would read noise as full rank
-        with pytest.raises(InputError, match="exact Hankel"):
-            rank_and_kernel(build_hankel((0.0, 0.0, 1.0, 3.0, 7.0), 3))
+        # an exact elimination of float data would read noise as full rank;
+        # float data goes through prony_polynomial_from_sequence
+        for c in ((0.0, 0.0, 1.0, 3.0, 7.0), (0, 0, 1, 3, 7.0)):
+            with pytest.raises(InputError, match="exact entries"):
+                rank_and_kernel(build_hankel(c, 3))
 
     def test_float_rank_matches_exact(self, rng):
         # float rank detection goes through the node-rescaled pipeline path;
-        # noise 0, threshold 1e-8
+        # noise 0, threshold DEFAULT_RANK_TOL
         for _ in range(8):
             p = random_simple_polytope(rng)
             n = p.n_vertices
@@ -129,9 +131,7 @@ class TestRankAndKernel:
             oracle_f = PolytopeMomentOracle(p, mode="float")
             zf = tuple(float(x) for x in z)
             ms_float = sequence_from_oracle(oracle_f, zf, n, oversample=10)
-            float_poly = prony_polynomial_from_sequence(
-                ms_float, n, 1e-8, oversample=10
-            )
+            float_poly = prony_polynomial_from_sequence(ms_float, n, oversample=10)
             assert float_poly.degree == exact_poly.degree == n
 
     def test_float_rank_never_exceeds_exact(self, rng):
@@ -146,7 +146,7 @@ class TestRankAndKernel:
             z = sample_generic_direction(p.dim, 1009, rng, "float").coords
             try:
                 ms = sequence_from_oracle(oracle_f, z, n, oversample=10)
-                poly = prony_polynomial_from_sequence(ms, n, 1e-8, oversample=10)
+                poly = prony_polynomial_from_sequence(ms, n, oversample=10)
             except NonGenericDirection:
                 continue
             assert poly.degree <= n
@@ -262,8 +262,7 @@ class TestBerlekampMasseyMatchesBareiss:
             )
             assert list(scaled_moment_vector(ms, 2 * m - 2).c) == c
             want = _outcome(_bareiss_reference, c, m, mult)
-            got = _outcome(prony_polynomial_from_sequence, ms, nmax, 1e-8,
-                           oversample)
+            got = _outcome(prony_polynomial_from_sequence, ms, nmax, oversample)
             assert got == want, (c, m, deg)
             seen.add(want if isinstance(want, type) else len(want))
             want = _outcome(_bareiss_reference, c, m, 1)
@@ -693,6 +692,12 @@ class TestRootsFloat:
 
 
 class TestProjections:
+    def test_nmax_below_one_rejected(self):
+        ms = moment_sequence(unit_square(), (F(1), F(2)), 9)
+        for nmax in (0, -1):
+            with pytest.raises(InputError, match="nmax"):
+                projections_from_moments(ms, nmax)
+
     def _sequence(self, p, z, nmax, rho=None):
         count = 2 * ((0 if rho is None else rho.degree) + 1) * nmax + 1
         count -= p.dim + (0 if rho is None else rho.degree) - 1
@@ -923,25 +928,11 @@ class TestFloatSolveOnOneArray:
         seen = set()
         for ms, nmax, oversample in _float_cases(21, 150):
             want = _float_outcome(_old_float_solve, ms, nmax, 1e-8, oversample)
-            got = _float_outcome(prony_polynomial_from_sequence, ms, nmax, 1e-8,
-                                 oversample)
+            got = _float_outcome(prony_polynomial_from_sequence, ms, nmax, oversample)
             assert got == want, (ms, nmax, oversample)
             seen.add(want if isinstance(want, type) else (ms.density_degree, want[1] != 1))
         assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
         assert {(0, True), (1, True), (2, True)} <= seen
-
-    def test_kernel_vector_is_the_old_branch(self):
-        seen = set()
-        for ms, nmax, oversample in _float_cases(22, 90):
-            m = hankel_size(nmax, ms.density_degree, oversample)
-            c = scaled_moment_vector(ms, 2 * m - 2).c
-            h = build_hankel(c, m)
-            for tol in (1e-8, 1e-3):
-                want = _float_outcome(_old_kernel, h.rows, tol, 2, 3.0)
-                got = _float_outcome(minimal_kernel_vector, h, tol, 2, 3.0)
-                assert got == want
-                seen.add(want if isinstance(want, type) else "ok")
-        assert {FullRankHankel, "ok"} <= seen
 
     def test_three_svds_per_successful_solve(self, monkeypatch):
         calls = []
@@ -956,7 +947,7 @@ class TestFloatSolveOnOneArray:
         for ms, nmax, oversample in _float_cases(23, 60):
             del calls[:]
             try:
-                prony_polynomial_from_sequence(ms, nmax, 1e-8, oversample)
+                prony_polynomial_from_sequence(ms, nmax, oversample)
             except PolymomError:
                 continue
             # rank at m and m - 1 from singular values, one full SVD

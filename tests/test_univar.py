@@ -9,11 +9,11 @@ import pytest
 
 from conftest import random_simple_polytope, unit_cube, unit_square, unit_triangle
 from polymom.config import RunConfig
-from polymom.errors import DenominatorVanishes, RankInstability
+from polymom.errors import DenominatorVanishes, InputError
 from polymom.geometry import Polytope, dot
 from polymom.moments import PolytopeMomentOracle
 from polymom.prony import poly_derivative, poly_eval
-from polymom.reconstruct import _Pipeline, reconstruct, reconstruction_error
+from polymom.reconstruct import _Pipeline, reconstruct
 from polymom.univar import (
     _derivative_weights,
     _sample,
@@ -239,32 +239,21 @@ class TestDerivativeWeights:
         assert vs.provenance.retries == 2 * p.dim
 
 
-def _ladder_polygon(n):
-    """The polygon (k, k^2/7), k < n."""
-    return Polytope(dim=2, vertices=tuple((F(k), F(k * k, 7)) for k in range(n)))
+class TestExactOnly:
+    """The route takes exact data: float data raises InputError before a
+    moment is drawn (float reconstruction goes through ``reconstruct``)."""
 
+    def test_float_data_rejected(self):
+        oracle = PolytopeMomentOracle(unit_square(), mode="float")
+        with pytest.raises(InputError, match="exact data"):
+            vertices_univar(oracle, 4, RunConfig(mode="float", seed=1), Random(1))
+        with pytest.raises(InputError, match="exact data"):
+            interpolate_fab(oracle, (0.25, 0.75), (1.0, 0.0), 4)
+        assert oracle.unique_count == 0
 
-class TestFloatUnivar:
-    """Float mode checks sum_j a_j v_j = theta, an identity of the route:
-    a result far off it raises instead of returning a wrong vertex set."""
-
-    @staticmethod
-    def _run(p, seed):
-        oracle = PolytopeMomentOracle(p, mode="float")
-        return vertices_univar(oracle, p.n_vertices, RunConfig(mode="float", seed=seed),
-                               Random(seed))
-
-    def test_cube_wrong_rank_raises(self):
-        # the base direction shows rank 7, and 7 vertices came back
-        with pytest.raises(RankInstability, match="base projections"):
-            self._run(unit_cube(), 0)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_ladder_octagon_raises(self, seed):
-        with pytest.raises(RankInstability, match="base projections"):
-            self._run(_ladder_polygon(8), seed)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_triangle_and_square_solve(self, seed):
-        for p in (unit_triangle(), unit_square()):
-            assert reconstruction_error(p, self._run(p, seed)) <= 1e-9
+    def test_float_base_direction_rejected(self):
+        # the exact oracle's float moments crashed the exact solve
+        oracle = PolytopeMomentOracle(unit_square())
+        with pytest.raises(InputError, match="float direction"):
+            vertices_univar(oracle, 4, RunConfig(seed=1), Random(1), base_direction=(0.3, 0.7))
+        assert oracle.unique_count == 0
