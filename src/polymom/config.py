@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .geometry import DEFAULT_DENOMINATOR, _is_prime
-from .moments import _check_noise
-from .numeric import EXACT, FLOAT
+from .moments import _check_mode, _check_noise
+from .numeric import EXACT
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class RunConfig:
     noise: float = 0.0
 
     def validate(self, nmax: int | None = None):
-        if self.mode not in (EXACT, FLOAT):
-            raise InputError(f"unknown mode {self.mode!r}")
+        _check_mode(self.mode)
         if self.beta_trials is not None and self.beta_trials < 1:
             raise InputError("beta_trials must be at least 1")
         _check_noise(self.noise)

@@ -94,8 +94,10 @@ def _edge_values(cone, edges, z):
 def _brion_direction(p: Polytope, z):
     """(coords, q) with z = coords / q: integers over their common
     denominator, except on a float polytope, where the direction runs on
-    floats (float powers of q-scaled projections overflow)."""
+    floats (float powers of q-scaled projections overflow). A direction of
+    another length than the dimension raises InputError."""
     coords = _direction_coords(z)
+    _check_direction(p, coords)
     if p.cone_table[0] is None:
         return tuple(map(float, coords)), 1
     return integerize(coords)
@@ -332,6 +334,7 @@ def axial_moments_brion_density(p: Polytope, z, count: int, rho: MultiPoly | Non
     (``_vertex_contractions``), and all pieces are summed over one divisor
     per moment (``_brion_sum``).
     """
+    _check_density(p, rho)
     if rho is None:
         return axial_moments_brion(p, z, count)
     if rho.is_constant():
@@ -365,9 +368,11 @@ def axial_moments_direct(p: Polytope, z, count: int, rho: MultiPoly | None = Non
     rden = 1.
     """
     d = p.dim
+    coords = _direction_coords(z)
+    _check_direction(p, coords)
+    _check_density(p, rho)
     rho = MultiPoly.constant(d, 1) if rho is None else rho
     flat = [x for v in p.vertices for x in v]
-    coords = _direction_coords(z)
     coefs = list(rho.terms.values())
     exact = _data_mode(p, coords, rho) == EXACT
     if not exact:  # then all floats: scales such as q^j would outgrow the float range
@@ -422,6 +427,7 @@ def vertex_side_scaled_entry(p: Polytope, z, k: int, rho: MultiPoly | None = Non
     """Entry c_{k+1} of the scaled moment vector computed from the vertex
     side of the matrix identity: sum_s falling(k, deg-s) *
     [rho_s(d/dz) sum_v <v,z>^{k-deg+s} D_v(z)](z)."""
+    _check_density(p, rho)
     coords, q = _brion_direction(p, z)
     deg = 0 if rho is None else rho.degree
     # every term is homogeneous of degree k - d - deg in z
@@ -457,18 +463,9 @@ class MomentSequence:
     moments: tuple
 
 
-@dataclass(frozen=True)
-class ScaledMomentVector:
-    """The vector c with d + deg leading zeros and scaled moments after:
-    c_{j+d+deg+1} = (-1)^d (j+d+deg)!/j! mu_j."""
-
-    c: tuple
-    dim: int
-    density_degree: int
-
-
-def scaled_moment_vector(ms: MomentSequence, k: int) -> ScaledMomentVector:
-    """c_1 .. c_{k+1} from a moment sequence."""
+def scaled_moment_vector(ms: MomentSequence, k: int) -> tuple:
+    """c_1 .. c_{k+1} from a moment sequence: d + deg leading zeros, then
+    the scaled moments c_{j+d+deg+1} = (-1)^d (j+d+deg)!/j! mu_j."""
     lead = ms.dim + ms.density_degree
     needed = k + 1 - lead
     if needed > len(ms.moments):
@@ -479,7 +476,7 @@ def scaled_moment_vector(ms: MomentSequence, k: int) -> ScaledMomentVector:
     c = [0] * min(lead, k + 1)
     for factor, m in zip(falling_column(lead, max(0, needed)), ms.moments):
         c.append(sign * factor * m)
-    return ScaledMomentVector(c=tuple(c), dim=ms.dim, density_degree=ms.density_degree)
+    return tuple(c)
 
 
 def moment_sequence(
@@ -494,8 +491,6 @@ def moment_sequence(
     if count < 0:
         raise InputError(f"moment count must be nonnegative, got {count}")
     coords = _direction_coords(z)
-    _check_direction(p, coords)
-    _check_density(p, rho)
     mode = _data_mode(p, coords, rho)
     if route == "brion":
         moments = axial_moments_brion_density(p, coords, count, rho)
@@ -536,6 +531,11 @@ def _moments_close(a, b, mode):
     return abs(float(a) - float(b)) <= 1e-9 * scale
 
 
+def _check_mode(mode):
+    if mode not in (EXACT, FLOAT):
+        raise InputError(f"unknown mode {mode!r}")
+
+
 def _check_noise(noise):
     """Raise InputError unless the relative noise level is finite and >= 0."""
     if not 0 <= noise < inf:
@@ -570,6 +570,7 @@ def moments_to_json(ms: MomentSequence) -> dict:
 def moments_from_json(doc) -> MomentSequence:
     try:
         mode = doc.get("mode", EXACT)
+        _check_mode(mode)
         ms = MomentSequence(
             dim=index_from_json(doc["dim"], "dim"),
             direction=tuple(scalar_from_json(x, mode) for x in doc["direction"]),
@@ -636,6 +637,7 @@ def monomial_moments_of_degree(
     summed piece by piece of rho at an internally sampled generic z. The
     jets of one piece degree are shared by every m of total degree q.
     """
+    _check_density(p, rho)
     if rng is None:
         rng = Random(20240615 + q)
     parts = {0: MultiPoly.constant(p.dim, 1)} if rho is None else rho.homogeneous_parts()
@@ -672,6 +674,8 @@ def monomial_moment(p: Polytope, m, rho: MultiPoly | None = None, z=None, rng=No
     """integral over P of x^m rho(x) dx, via the derivative relation
     |m|! mu_m = d^m mu_{|m|}(z)."""
     m = tuple(m)
+    if len(m) != p.dim or not all(isinstance(e, int) and e >= 0 for e in m):
+        raise InputError(f"exponent {m} is no multi-index of dimension {p.dim}")
     q = sum(m)
     return monomial_moments_of_degree(p, q, rho, z=z, rng=rng)[m]
 
@@ -694,6 +698,9 @@ class PolytopeMomentOracle:
         noise: float = 0.0,
         rng=None,
     ):
+        _check_mode(mode)
+        if route not in ("brion", "direct"):
+            raise InputError(f"unknown route {route!r}")
         if mode == FLOAT:
             _check_noise(noise)
             polytope = polytope_to_float(polytope)
@@ -728,7 +735,6 @@ class PolytopeMomentOracle:
         batch first unless (coords, count - 1) is stored."""
         values = self._values
         if (coords, count - 1) not in values:
-            _check_direction(self.polytope, coords)
             if self.mode == EXACT and any(isinstance(x, float) for x in coords):
                 raise InputError(f"exact oracle handed the float direction {coords}")
             if self.route == "direct":

@@ -42,15 +42,26 @@ from .errors import (
     RankInstability,
     RankNotDivisible,
 )
-from .moments import MomentSequence, scaled_moment_vector
+from .moments import MomentSequence, _check_noise, scaled_moment_vector
 from .numeric import EXACT
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_REAL_TOL = 1e-7
 DEFAULT_CLUSTER_TOL = 1e-6
 # float-mode guard: projections closer than this fraction of the spread are
-# treated as a collision (the direction is resampled)
+# treated as a collision (the direction is resampled); see _separation_width
 DEFAULT_SEPARATION_TOL = 5e-2
+# extra Hankel rows in float mode; noise averages out over the larger
+# system while exact mode stays at the frugal minimum m = N + 1
+FLOAT_OVERSAMPLE = 10
+
+
+def _separation_width(noise: float) -> float:
+    """The float separation guard's width at the relative noise level: the
+    guard bounds noise amplification (~ noise / gap^2), so its width scales
+    with the noise; DEFAULT_SEPARATION_TOL is calibrated at 1e-9."""
+    sep = DEFAULT_SEPARATION_TOL * (max(noise, 1e-15) / 1e-9) ** 0.5
+    return min(sep, DEFAULT_SEPARATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -539,46 +550,49 @@ def _rescale(c, scale):
         c[k] = c[k] / acc
 
 
-def hankel_size(nmax: int, density_degree: int, oversample: int = 0) -> int:
-    return (density_degree + 1) * nmax + 1 + oversample
+def hankel_size(nmax: int, density_degree: int, mode: str = EXACT) -> int:
+    """Hankel size of one solve: (D+1) nmax + 1, plus FLOAT_OVERSAMPLE off exact data."""
+    return (density_degree + 1) * nmax + 1 + (0 if mode == EXACT else FLOAT_OVERSAMPLE)
 
 
-def moments_needed(dim: int, nmax: int, density_degree: int,
-                   oversample: int = 0) -> int:
+def moments_needed(dim: int, nmax: int, density_degree: int, mode: str = EXACT) -> int:
     """Moment count one Hankel solve consumes (the leading d + deg scaled
     entries are structural zeros, not measurements)."""
-    m = hankel_size(nmax, density_degree, oversample)
+    m = hankel_size(nmax, density_degree, mode)
     return 2 * m - 1 - (dim + density_degree)
 
 
 def prony_polynomial_from_sequence(
     ms: MomentSequence,
     nmax: int,
-    oversample: int = 0,
     *,
     _rank: int | None = None,
 ) -> PronyPolynomial:
     """Hankel rank detection plus the minimal kernel vector, without root
     extraction (enough for cross-direction matching).
 
-    Raises FullRankHankel when nmax is too small, RankInstability when the
-    rank differs between sizes m-1 and m, RankNotDivisible when the rank is
-    incompatible with the density degree. Exact mode decides all three
-    with one Berlekamp-Massey pass over the 2m-1 scaled entries.
+    The Hankel size m is ``hankel_size`` at the sequence's mode. Raises
+    InputError when nmax is below 1, FullRankHankel when nmax is too small,
+    RankInstability when the rank differs between sizes m-1 and m,
+    RankNotDivisible when the rank is incompatible with the density degree.
+    Exact mode decides the last three with one Berlekamp-Massey pass over
+    the 2m-1 scaled entries.
 
     The reconstruction pipeline alone passes ``_rank``, the rank a combined
     direction must show: any other raises RankInstability, in float mode as
     soon as the rank at m is known, before the rank at m-1, the kernel SVD
     and its least squares.
     """
+    if nmax < 1:
+        raise InputError("nmax must be at least 1")
     mult = ms.density_degree + 1
-    m = hankel_size(nmax, ms.density_degree, oversample)
-    need = 2 * m - 1 - (ms.dim + ms.density_degree)
+    m = hankel_size(nmax, ms.density_degree, ms.mode)
+    need = moments_needed(ms.dim, nmax, ms.density_degree, ms.mode)
     if len(ms.moments) < need:
         raise InsufficientMoments(
             f"need {need} moments for nmax={nmax} (m={m}), have {len(ms.moments)}"
         )
-    c = list(scaled_moment_vector(ms, 2 * m - 2).c)
+    c = list(scaled_moment_vector(ms, 2 * m - 2))
     if ms.mode == EXACT:
         coeffs = _exact_kernel(c, m)
         if len(coeffs) % mult:
@@ -617,22 +631,21 @@ def _check_rank(found, rank):
 def projections_from_moments(
     ms: MomentSequence,
     nmax: int,
-    separation_tol: float = DEFAULT_SEPARATION_TOL,
-    oversample: int = 0,
+    noise: float = 0.0,
 ) -> ProjectionSet:
     """Projections of the vertex set onto ms.direction.
 
     The number of vertices is recovered as rank/(density_degree + 1); every
     root of the minimal kernel polynomial must carry multiplicity exactly
     density_degree + 1. In float mode, projections separated by less than
-    ``separation_tol`` of the spread are intrinsically ill-conditioned and
-    reported as a collision so the caller can resample. An nmax below 1
-    raises InputError.
+    ``_separation_width(noise)`` of the spread, at the moments' relative noise
+    level ``noise``, are intrinsically ill-conditioned and reported as a
+    collision so the caller can resample. A noise level that is not finite
+    and nonnegative raises InputError.
     """
-    if nmax < 1:
-        raise InputError("nmax must be at least 1")
+    _check_noise(noise)
     mult = ms.density_degree + 1
-    poly = prony_polynomial_from_sequence(ms, nmax, oversample)
+    poly = prony_polynomial_from_sequence(ms, nmax)
     rank = poly.degree
     if ms.mode == EXACT:
         root_map = roots_exact(poly)
@@ -652,8 +665,8 @@ def projections_from_moments(
         values = tuple(sorted(r for r, _ in clusters))
         if mult == 1 and len(values) == rank:
             # polish the nodes against the data (normalized coordinates)
-            m = hankel_size(nmax, 0, oversample)
-            c = list(scaled_moment_vector(ms, 2 * m - 2).c)
+            m = hankel_size(nmax, 0, ms.mode)
+            c = list(scaled_moment_vector(ms, 2 * m - 2))
             s = float(poly.scale)
             _rescale(c, s)
             refined = _refine_nodes_float(c, [v / s for v in values])
@@ -661,7 +674,7 @@ def projections_from_moments(
         if len(values) >= 2:
             spread = 1.0 + values[-1] - values[0]
             gap = min(b - a for a, b in zip(values, values[1:]))
-            if gap < separation_tol * spread:
+            if gap < _separation_width(noise) * spread:
                 raise MultiplicityMismatch(
                     f"projections nearly collide (gap {gap:.3e}); resample"
                 )

@@ -42,9 +42,8 @@ from .errors import (
 )
 from .geometry import Polytope, sample_generic_direction
 from .moments import MomentSequence, axial_moments_direct, triangulation_of
-from .numeric import EXACT, FLOAT
+from .numeric import EXACT
 from .prony import (
-    DEFAULT_SEPARATION_TOL,
     ProjectionSet,
     PronyPolynomial,
     moments_needed,
@@ -58,9 +57,6 @@ _BAD_DIRECTION = (NonGenericDirection, DenominatorVanishes, IrrationalRoot)
 
 # fresh directions drawn per acquisition, matching retry or self-check
 DIRECTION_RETRIES = 30
-# extra Hankel rows in float mode; noise averages out over the larger
-# system while exact mode stays at the frugal minimum m = N + 1
-FLOAT_OVERSAMPLE = 10
 # float acceptance threshold: the largest |p_z| a matching candidate may show,
 # and the least bound of a result's residual (``_Pipeline.residual_bound``)
 FLOAT_TOL = 1e-6
@@ -86,16 +82,6 @@ class VertexSet:
     dim: int
     vertices: tuple
     provenance: Provenance = field(compare=False, default_factory=Provenance)
-
-
-def sequence_from_oracle(oracle, coords, n_for_hankel: int,
-                         oversample: int = 0) -> MomentSequence:
-    """Pull exactly the moments one Hankel solve at size
-    m = mult*n + 1 + oversample needs."""
-    need = moments_needed(
-        oracle.dim, n_for_hankel, oracle.density_degree, oversample
-    )
-    return oracle.sequence(coords, need)
 
 
 def match_projections(values, alphas, pz: PronyPolynomial):
@@ -225,7 +211,6 @@ class _Pipeline:
             )
         self.rng = rng if rng is not None else Random(self.config.seed)
         self.prov = Provenance()
-        self.oversample = FLOAT_OVERSAMPLE if self.config.mode == FLOAT else 0
         # the factor sample_direction scales its draws by
         self.unit = self.config.denominator if self.config.mode == EXACT else 1
         # the largest relative residual a float result's checks accept: good
@@ -240,24 +225,20 @@ class _Pipeline:
         ).coords
         return tuple(int(x * self.unit) for x in z) if self.config.mode == EXACT else z
 
-    def projections_at(self, coords, n_for_hankel) -> ProjectionSet:
-        ms = sequence_from_oracle(
-            self.oracle, coords, n_for_hankel, self.oversample
-        )
-        cfg = self.config
-        # the separation guard exists to bound noise amplification
-        # (~ noise / gap^2), so its width scales with the noise level;
-        # DEFAULT_SEPARATION_TOL is calibrated at 1e-9 relative noise
-        sep = DEFAULT_SEPARATION_TOL * (max(cfg.noise, 1e-15) / 1e-9) ** 0.5
-        sep = min(max(sep, 1e-9), DEFAULT_SEPARATION_TOL)
-        return projections_from_moments(ms, n_for_hankel, sep, self.oversample)
+    def sequence_at(self, coords, n) -> MomentSequence:
+        """The moments along coords that one Prony solve for n vertices consumes."""
+        oracle = self.oracle
+        need = moments_needed(oracle.dim, n, oracle.density_degree, oracle.mode)
+        return oracle.sequence(coords, need)
+
+    def projections_at(self, coords, n) -> ProjectionSet:
+        return projections_from_moments(self.sequence_at(coords, n), n, self.config.noise)
 
     def poly_at(self, coords, n) -> PronyPolynomial:
         """Kernel polynomial of a combined direction, on which all n
         vertices must show; any other rank raises RankInstability."""
-        ms = sequence_from_oracle(self.oracle, coords, n, self.oversample)
         return prony_polynomial_from_sequence(
-            ms, n, self.oversample, _rank=(self.oracle.density_degree + 1) * n
+            self.sequence_at(coords, n), n, _rank=(self.oracle.density_degree + 1) * n
         )
 
     def acquire(self, existing=(), n=None):

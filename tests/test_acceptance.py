@@ -29,13 +29,15 @@ from polymom.moments import (
     monomial_moments_of_degree,
     scaled_moment_vector,
 )
-from polymom.prony import build_hankel, hankel_size, poly_derivative, poly_eval, rank_and_kernel
-from polymom.reconstruct import (
-    match_frugal_d_plus_1,
-    reconstruct,
-    reconstruction_error,
-    sequence_from_oracle,
+from polymom.prony import (
+    build_hankel,
+    hankel_size,
+    moments_needed,
+    poly_derivative,
+    poly_eval,
+    rank_and_kernel,
 )
+from polymom.reconstruct import match_frugal_d_plus_1, reconstruct, reconstruction_error
 from polymom.univar import g_from_f, interpolate_fab, vertices_univar
 from polymom.numeric import poly_parse
 
@@ -50,13 +52,13 @@ def _cfg(seed=0):
     return RunConfig(seed=seed, denominator=10007)
 
 
-def _generic_sequence(oracle, p, nmax, rng, oversample=0):
+def _generic_sequence(oracle, p, nmax, rng):
     while True:
         z = sample_generic_direction(p.dim, 1009, rng).coords
         if not check_distinct_projections(p, z):
             continue
         try:
-            return z, sequence_from_oracle(oracle, z, nmax, oversample)
+            return z, oracle.sequence(z, moments_needed(p.dim, nmax, oracle.density_degree))
         except Exception:
             continue
 
@@ -87,8 +89,8 @@ def test_criterion_2_hankel_rank_theorem(corpus):
         for p in corpus:
             n = p.n_vertices
             oracle = PolytopeMomentOracle(p)
-            _, ms = _generic_sequence(oracle, p, n, rng, oversample=1)
-            c = scaled_moment_vector(ms, 2 * (n + 2) - 2).c
+            _, ms = _generic_sequence(oracle, p, n + 1, rng)
+            c = scaled_moment_vector(ms, 2 * (n + 2) - 2)
             for m in (n + 1, n + 2):
                 rank, _ = rank_and_kernel(build_hankel(c, m))
                 assert rank == n
@@ -99,7 +101,7 @@ def test_criterion_2_hankel_rank_theorem(corpus):
                 oracle = PolytopeMomentOracle(p, rho)
                 _, ms = _generic_sequence(oracle, p, n, rng)
                 m = hankel_size(n, deg)
-                c = scaled_moment_vector(ms, 2 * m - 2).c
+                c = scaled_moment_vector(ms, 2 * m - 2)
                 rank, _ = rank_and_kernel(build_hankel(c, m))
                 assert rank == (deg + 1) * n, (p.dim, n, deg, rank)
         ok = True

@@ -157,12 +157,15 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
 
 def test_option_surface():
     # every RunConfig field but beta_trials is a flag of every subcommand,
-    # with the field's default; the float thresholds are constants
+    # with the field's default; the float thresholds and the float Hankel
+    # size are constants, and the separation width follows the noise level
     fields = [f.name for f in dataclasses.fields(RunConfig)]
     assert fields == ["mode", "denominator", "seed", "beta_trials", "noise"]
     for fn, names in (
-        (prony.prony_polynomial_from_sequence, ["ms", "nmax", "oversample", "_rank"]),
-        (prony.projections_from_moments, ["ms", "nmax", "separation_tol", "oversample"]),
+        (prony.prony_polynomial_from_sequence, ["ms", "nmax", "_rank"]),
+        (prony.projections_from_moments, ["ms", "nmax", "noise"]),
+        (prony.hankel_size, ["nmax", "density_degree", "mode"]),
+        (prony.moments_needed, ["dim", "nmax", "density_degree", "mode"]),
         (prony.minimal_kernel_vector, ["h"]),
         (prony.roots_float, ["p"]),
         (vertices_univar, ["oracle", "nmax", "config", "rng", "base_direction"]),

@@ -29,6 +29,7 @@ from polymom.geometry import (
     simplex_cones,
 )
 from polymom.linalg import det_exact
+from polymom.prony import projections_from_moments
 from polymom.moments import (
     MomentSequence,
     PolytopeMomentOracle,
@@ -313,7 +314,7 @@ class TestClosedForms:
         for p, rho, z, count in _closed_form_cases(8, 12):
             lead = p.dim + rho.degree
             k_max = lead + count - 1
-            c = scaled_moment_vector(moment_sequence(p, z, count, rho), k_max).c
+            c = scaled_moment_vector(moment_sequence(p, z, count, rho), k_max)
             for k in range(k_max + 1):
                 assert vertex_side_scaled_entry(p, z, k, rho) == c[k], k
 
@@ -718,22 +719,21 @@ class TestCompanionIdentities:
 class TestScaledMomentVector:
     def test_triangle_c_vector(self):
         ms = moment_sequence(unit_triangle(), (F(1), F(2)), 7)
-        sv = scaled_moment_vector(ms, 6)
-        assert sv.c == (0, 0, 1, 3, 7, 15, 31)
+        assert scaled_moment_vector(ms, 6) == (0, 0, 1, 3, 7, 15, 31)
 
     def test_density_leading_zeros(self):
         rho = poly_parse("x1", 2)
         ms = moment_sequence(unit_triangle(), (F(1), F(2)), 4, rho)
-        sv = scaled_moment_vector(ms, 5)
-        assert sv.c[:3] == (0, 0, 0)
-        assert len(sv.c) == 6
+        c = scaled_moment_vector(ms, 5)
+        assert c[:3] == (0, 0, 0)
+        assert len(c) == 6
 
     def test_zero_moments_give_zero_c(self):
         ms = MomentSequence(
             dim=2, direction=(F(1), F(1)), density_degree=0, mode="exact",
             moments=(F(0),) * 5,
         )
-        assert all(x == 0 for x in scaled_moment_vector(ms, 6).c)
+        assert all(x == 0 for x in scaled_moment_vector(ms, 6))
 
     def test_insufficient(self):
         ms = moment_sequence(unit_triangle(), (F(1), F(2)), 2)
@@ -752,7 +752,7 @@ class TestScaledMomentVector:
                     break
                 except DenominatorVanishes:
                     continue
-            c = scaled_moment_vector(ms, 2 * n).c
+            c = scaled_moment_vector(ms, 2 * n)
             for k in range(2 * n + 1):
                 assert vertex_side_scaled_entry(p, z, k) == c[k]
 
@@ -866,6 +866,12 @@ class TestMonomialMoments:
                     density = mono if rho is None else mono * rho
                     assert val == axial_moment_direct(p, e1, 0, density), m
 
+    def test_exponent_of_another_length_rejected(self):
+        # (1, 0, 0) on the square died with KeyError, (0.5, 0.5) with TypeError
+        for m in ((1, 0, 0), (1,), (-1, 2), (0.5, 0.5)):
+            with pytest.raises(InputError, match="multi-index"):
+                monomial_moment(unit_square(), m)
+
     def test_density_folding(self):
         rho = poly_parse("1 + x2", 2)
         got = monomial_moment(unit_square(), (1, 0), rho)
@@ -928,6 +934,17 @@ class TestRoutesAndFiles:
         doc = moments_to_json(ms)
         back = moments_from_json(json.loads(json.dumps(doc)))
         assert back == ms
+
+    def test_unknown_mode_or_route_rejected(self):
+        # a "bogus" oracle labelled its sequences so and Prony solved them as
+        # float; any route but "direct" ran Brion; "Float" read exact values
+        for kwargs in ({"mode": "bogus"}, {"mode": "Float"},
+                       {"route": "both"}, {"route": "bogus"}):
+            with pytest.raises(InputError, match="unknown"):
+                PolytopeMomentOracle(unit_square(), **kwargs)
+        doc = moments_to_json(moment_sequence(unit_triangle(), (F(1), F(2)), 5))
+        with pytest.raises(InputError, match="unknown mode 'Float'"):
+            moments_from_json({**doc, "mode": "Float"})
 
     def test_csv_export(self, tmp_path):
         ms = moment_sequence(unit_triangle(), (F(1), F(2)), 3)
@@ -1005,13 +1022,17 @@ class TestOracleBookkeeping:
                     assert got == want
                 assert new.unique_count == old.unique_count
 
-    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1e-6])
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1e-6, -1e-9])
     def test_non_finite_or_negative_noise_rejected(self, noise):
         with pytest.raises(InputError, match="noise"):
             PolytopeMomentOracle(unit_square(), mode="float", noise=noise, rng=Random(7))
         ms = moment_sequence(polytope_to_float(unit_square()), (0.25, 0.75), 4)
         with pytest.raises(InputError, match="noise"):
             add_noise(ms, noise, Random(7))
+        # a NaN separation width switched the float solve's guard off
+        ms = moment_sequence(polytope_to_float(unit_square()), (0.3, 0.7), 27)
+        with pytest.raises(InputError, match="noise"):
+            projections_from_moments(ms, 4, noise)
 
     def test_negative_moment_index_rejected(self):
         oracle = PolytopeMomentOracle(unit_triangle())
@@ -1035,11 +1056,22 @@ class TestOracleBookkeeping:
         assert oracle.unique_count == 0
         assert oracle.moment(ms.direction, 2) == ms.moments[2]
 
-    @pytest.mark.parametrize("route", ["brion", "direct", "both"])
-    def test_direction_of_another_length_rejected(self, route):
-        # zip would cut (1, 2, 3) to (1, 2) and label the moments (1, 2, 3)
+    @pytest.mark.parametrize("call", [
+        lambda p, z: moment_sequence(p, z, 3, route="brion"),
+        lambda p, z: moment_sequence(p, z, 3, route="direct"),
+        lambda p, z: moment_sequence(p, z, 3, route="both"),
+        lambda p, z: axial_moments_brion_density(p, z, 3, poly_parse("1 + x1", 2)),
+        lambda p, z: axial_moments_direct(p, z, 3),
+        lambda p, z: vertex_side_scaled_entry(p, z, 4),
+        lambda p, z: companion_identity_residual(p, z, 0),
+        lambda p, z: monomial_moment(p, (1, 0), z=z),
+    ], ids=["brion", "direct", "both", "brion-density", "direct-moments",
+            "vertex-side", "companion", "monomial"])
+    def test_direction_of_another_length_rejected(self, call):
+        # zip would cut (1, 2, 3) to (1, 2) and label the moments (1, 2, 3);
+        # the vertex-side entry read 32 and a companion identity held
         with pytest.raises(InputError, match="3 coordinates, need 2"):
-            moment_sequence(unit_square(), (1, 2, 3), 3, route=route)
+            call(unit_square(), (1, 2, 3))
 
     @pytest.mark.parametrize("route", ["brion", "direct"])
     def test_oracle_direction_of_another_length_rejected(self, route):
@@ -1055,6 +1087,12 @@ class TestOracleBookkeeping:
         rho = poly_parse("1 + x1", 1)
         with pytest.raises(InputError, match="density in 1 variables"):
             moment_sequence(unit_square(), (1, 2), 3, rho)
+        for call in (lambda: axial_moments_brion_density(unit_square(), (1, 2), 3, rho),
+                     lambda: axial_moments_direct(unit_square(), (1, 2), 3, rho),
+                     lambda: vertex_side_scaled_entry(unit_square(), (1, 2), 4, rho),
+                     lambda: monomial_moments_of_degree(unit_square(), 1, rho)):
+            with pytest.raises(InputError, match="density in 1 variables"):
+                call()
         for mode in ("exact", "float"):
             with pytest.raises(InputError, match="density in 1 variables"):
                 PolytopeMomentOracle(unit_square(), rho, mode=mode)

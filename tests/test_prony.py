@@ -42,13 +42,13 @@ from polymom.prony import (
     hankel_size,
     minimal_kernel_vector,
     poly_nth_root,
+    moments_needed,
     projections_from_moments,
     prony_polynomial_from_sequence,
     rank_and_kernel,
     roots_exact,
     roots_float,
 )
-from polymom.reconstruct import sequence_from_oracle
 
 F = Fraction
 
@@ -123,15 +123,15 @@ class TestRankAndKernel:
                 if not check_distinct_projections(p, z):
                     continue
                 try:
-                    ms = sequence_from_oracle(oracle, z, n, oversample=1)
+                    ms = oracle.sequence(z, moments_needed(p.dim, n + 1, 0))
                     break
                 except Exception:
                     continue
-            exact_poly = prony_polynomial_from_sequence(ms, n, oversample=1)
+            exact_poly = prony_polynomial_from_sequence(ms, n + 1)
             oracle_f = PolytopeMomentOracle(p, mode="float")
             zf = tuple(float(x) for x in z)
-            ms_float = sequence_from_oracle(oracle_f, zf, n, oversample=10)
-            float_poly = prony_polynomial_from_sequence(ms_float, n, oversample=10)
+            ms_float = oracle_f.sequence(zf, moments_needed(p.dim, n, 0, "float"))
+            float_poly = prony_polynomial_from_sequence(ms_float, n)
             assert float_poly.degree == exact_poly.degree == n
 
     def test_float_rank_never_exceeds_exact(self, rng):
@@ -145,8 +145,8 @@ class TestRankAndKernel:
             oracle_f = PolytopeMomentOracle(p, mode="float")
             z = sample_generic_direction(p.dim, 1009, rng, "float").coords
             try:
-                ms = sequence_from_oracle(oracle_f, z, n, oversample=10)
-                poly = prony_polynomial_from_sequence(ms, n, oversample=10)
+                ms = oracle_f.sequence(z, moments_needed(p.dim, n, 0, "float"))
+                poly = prony_polynomial_from_sequence(ms, n)
             except NonGenericDirection:
                 continue
             assert poly.degree <= n
@@ -247,27 +247,27 @@ class TestBerlekampMasseyMatchesBareiss:
     def test_seeded_sequences(self, rng):
         seen = set()
         for _ in range(1500):
-            m, deg = rng.randint(1, 6), rng.randint(0, 2)
+            deg, nmax = rng.randint(0, 2), rng.randint(1, 4)
+            m = hankel_size(nmax, deg)
             c = _random_sequence(rng, m, deg)
             mult = deg + 1
-            # m = hankel_size(nmax, deg, oversample); dim 0 makes the scaled
-            # vector c_{j+deg+1} = (j+deg)!/j! mu_j, with no sign
-            nmax = (m - 1) // mult
-            oversample = m - 1 - mult * nmax
-            assert hankel_size(nmax, deg, oversample) == m
+            # dim 0 makes the scaled vector c_{j+deg+1} = (j+deg)!/j! mu_j,
+            # with no sign
             ms = MomentSequence(
                 dim=0, direction=(), density_degree=deg, mode=EXACT,
                 moments=tuple(c[j + deg] / perm(j + deg, deg)
                               for j in range(len(c) - deg)),
             )
-            assert list(scaled_moment_vector(ms, 2 * m - 2).c) == c
+            assert list(scaled_moment_vector(ms, 2 * m - 2)) == c
             want = _outcome(_bareiss_reference, c, m, mult)
-            got = _outcome(prony_polynomial_from_sequence, ms, nmax, oversample)
+            got = _outcome(prony_polynomial_from_sequence, ms, nmax)
             assert got == want, (c, m, deg)
             seen.add(want if isinstance(want, type) else len(want))
-            want = _outcome(_bareiss_reference, c, m, 1)
-            got = _outcome(minimal_kernel_vector, build_hankel(c, m))
-            assert got == want, (c, m)
+            # the leading k x k blocks reach every size up to m
+            for k in range(1, m + 1):
+                want = _outcome(_bareiss_reference, c, k, 1)
+                got = _outcome(minimal_kernel_vector, build_hankel(c, k))
+                assert got == want, (c, k)
         # every outcome class occurs, and kernels of several degrees
         assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
         assert {0, 1, 2, 3} <= seen
@@ -362,11 +362,11 @@ class TestKernelShiftProperty:
                 if not check_distinct_projections(p, z):
                     continue
                 try:
-                    ms = sequence_from_oracle(oracle, z, n, oversample=2)
+                    ms = oracle.sequence(z, moments_needed(p.dim, n + 2, 0))
                     break
                 except Exception:
                     continue
-            c = scaled_moment_vector(ms, 2 * m - 2).c
+            c = scaled_moment_vector(ms, 2 * m - 2)
             h = build_hankel(c, m)
             projections = sorted(dot(v, z) for v in p.vertices)
             coeffs = [F(1)]
@@ -693,10 +693,13 @@ class TestRootsFloat:
 
 class TestProjections:
     def test_nmax_below_one_rejected(self):
+        # the sequence solve returned a zero-vertex polynomial at nmax = 0
         ms = moment_sequence(unit_square(), (F(1), F(2)), 9)
         for nmax in (0, -1):
             with pytest.raises(InputError, match="nmax"):
                 projections_from_moments(ms, nmax)
+            with pytest.raises(InputError, match="nmax"):
+                prony_polynomial_from_sequence(ms, nmax)
 
     def _sequence(self, p, z, nmax, rho=None):
         count = 2 * ((0 if rho is None else rho.degree) + 1) * nmax + 1
@@ -722,7 +725,7 @@ class TestProjections:
         # root exposes the bad direction immediately.
         tri = unit_triangle()
         ms = moment_sequence(tri, (F(1), F(0)), 9, route="direct")
-        c = scaled_moment_vector(ms, 8).c
+        c = scaled_moment_vector(ms, 8)
         assert c == (0, 0, 1, 1, 1, 1, 1, 1, 1)
         h = build_hankel(c, 5)
         rank, _ = rank_and_kernel(h)
@@ -776,11 +779,11 @@ class TestRankTheorem:
                 if not check_distinct_projections(p, z):
                     continue
                 try:
-                    ms = sequence_from_oracle(oracle, z, n, oversample=1)
+                    ms = oracle.sequence(z, moments_needed(p.dim, n + 1, 0))
                     break
                 except Exception:
                     continue
-            c = scaled_moment_vector(ms, 2 * (n + 2) - 2).c
+            c = scaled_moment_vector(ms, 2 * (n + 2) - 2)
             for m in (n + 1, n + 2):
                 rank, _ = rank_and_kernel(build_hankel(c, m))
                 assert rank == n
@@ -797,12 +800,12 @@ class TestRankTheorem:
                 if not check_distinct_projections(p, z):
                     continue
                 try:
-                    ms = sequence_from_oracle(oracle, z, n)
+                    ms = oracle.sequence(z, moments_needed(p.dim, n, oracle.density_degree))
                     break
                 except Exception:
                     continue
             m = hankel_size(n, deg)
-            c = scaled_moment_vector(ms, 2 * m - 2).c
+            c = scaled_moment_vector(ms, 2 * m - 2)
             rank, _ = rank_and_kernel(build_hankel(c, m))
             assert rank == (deg + 1) * n
 
@@ -816,7 +819,7 @@ class TestRankTheorem:
                 if not check_distinct_projections(p, z):
                     continue
                 try:
-                    ms = sequence_from_oracle(oracle, z, n)
+                    ms = oracle.sequence(z, moments_needed(p.dim, n, oracle.density_degree))
                     break
                 except Exception:
                     continue
@@ -851,13 +854,13 @@ def _old_kernel(rows, rank_tol, mult, scale):
     return PronyPolynomial(tuple(float(x) for x in v[:rank]), mult, scale)
 
 
-def _old_float_solve(ms, nmax, rank_tol=1e-8, oversample=0):
+def _old_float_solve(ms, nmax, rank_tol=1e-8):
     """The float sequence solve before the one-array Hankel, kept as the
-    reference: a tuple-of-tuples Hankel, its leading (m-1) block rebuilt
-    as tuples, and four SVDs."""
+    reference: a tuple-of-tuples Hankel at the float size, its leading
+    (m-1) block rebuilt as tuples, and four SVDs."""
     mult = ms.density_degree + 1
-    m = hankel_size(nmax, ms.density_degree, oversample)
-    c = list(scaled_moment_vector(ms, 2 * m - 2).c)
+    m = hankel_size(nmax, ms.density_degree, "float")
+    c = list(scaled_moment_vector(ms, 2 * m - 2))
     scale = prony._estimate_scale(c)
     prony._rescale(c, scale)
     rows = tuple(tuple(c[i + j] for j in range(m)) for i in range(m))
@@ -887,24 +890,21 @@ def _float_outcome(fn, *args):
 
 
 def _float_cases(seed, count):
-    """Seeded float moment sequences as (ms, nmax, oversample): polytope
-    moments, uniform and with densities of degree 1 and 2, noiseless and
-    noisy, at nmax below, at and above the vertex count; and the scaled
-    sequences of ``_random_sequence`` read as floats."""
+    """Seeded float moment sequences as (ms, nmax): polytope moments,
+    uniform and with densities of degree 1 and 2, noiseless and noisy, at
+    nmax below, at and above the vertex count; and the scaled sequences of
+    ``_random_sequence`` at the float Hankel size, read as floats."""
     rng = Random(seed)
     for k in range(count):
         if k % 3 == 2:
-            m, deg = rng.randint(2, 6), rng.randint(0, 2)
-            c = _random_sequence(rng, m, deg)
-            nmax = (m - 1) // (deg + 1)
-            if nmax < 1:
-                continue
+            nmax, deg = rng.randint(1, 3), rng.randint(0, 2)
+            c = _random_sequence(rng, hankel_size(nmax, deg, "float"), deg)
             ms = MomentSequence(
                 dim=0, direction=(), density_degree=deg, mode="float",
                 moments=tuple(float(c[j + deg] / perm(j + deg, deg))
                               for j in range(len(c) - deg)),
             )
-            yield ms, nmax, m - 1 - (deg + 1) * nmax
+            yield ms, nmax
             continue
         p = random_simple_polytope(rng)
         deg = rng.choice((0, 0, 1, 2))
@@ -915,9 +915,7 @@ def _float_cases(seed, count):
         )
         z = tuple(rng.uniform(0.1, 1.0) for _ in range(p.dim))
         nmax = max(1, p.n_vertices + rng.choice((-1, 0, 0, 1)))
-        oversample = rng.choice((0, 0, 10))
-        need = prony.moments_needed(p.dim, nmax, deg, oversample)
-        yield oracle.sequence(z, need), nmax, oversample
+        yield oracle.sequence(z, moments_needed(p.dim, nmax, deg, "float")), nmax
 
 
 class TestFloatSolveOnOneArray:
@@ -926,10 +924,10 @@ class TestFloatSolveOnOneArray:
 
     def test_sequence_solve_is_the_old_path(self):
         seen = set()
-        for ms, nmax, oversample in _float_cases(21, 150):
-            want = _float_outcome(_old_float_solve, ms, nmax, 1e-8, oversample)
-            got = _float_outcome(prony_polynomial_from_sequence, ms, nmax, oversample)
-            assert got == want, (ms, nmax, oversample)
+        for ms, nmax in _float_cases(21, 150):
+            want = _float_outcome(_old_float_solve, ms, nmax)
+            got = _float_outcome(prony_polynomial_from_sequence, ms, nmax)
+            assert got == want, (ms, nmax)
             seen.add(want if isinstance(want, type) else (ms.density_degree, want[1] != 1))
         assert {FullRankHankel, RankInstability, RankNotDivisible} <= seen
         assert {(0, True), (1, True), (2, True)} <= seen
@@ -944,10 +942,10 @@ class TestFloatSolveOnOneArray:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         solved = 0
-        for ms, nmax, oversample in _float_cases(23, 60):
+        for ms, nmax in _float_cases(23, 60):
             del calls[:]
             try:
-                prony_polynomial_from_sequence(ms, nmax, oversample)
+                prony_polynomial_from_sequence(ms, nmax)
             except PolymomError:
                 continue
             # rank at m and m - 1 from singular values, one full SVD

@@ -42,9 +42,14 @@ from polymom.geometry import (
 )
 from polymom.linalg import rank_exact
 from polymom.moments import MomentSequence, PolytopeMomentOracle, moment_sequence
-from polymom.prony import PronyPolynomial, moments_needed, prony_polynomial_from_sequence
-from polymom.reconstruct import (
+from polymom.prony import (
     FLOAT_OVERSAMPLE,
+    PronyPolynomial,
+    moments_needed,
+    projections_from_moments,
+    prony_polynomial_from_sequence,
+)
+from polymom.reconstruct import (
     _Pipeline,
     _alpha_sequence,
     _self_check,
@@ -56,7 +61,6 @@ from polymom.reconstruct import (
     reconstruct,
     reconstruct_from_sequences,
     reconstruction_error,
-    sequence_from_oracle,
 )
 from polymom.univar import vertices_univar
 
@@ -297,7 +301,7 @@ class TestChooseBeta:
             from polymom.errors import RankInstability
 
             coords = tuple(a + beta * b for a, b in zip(z1, z2))
-            ms = sequence_from_oracle(oracle, coords, 3)
+            ms = oracle.sequence(coords, moments_needed(2, 3, 0))
             pz = prony_polynomial_from_sequence(ms, 3)
             if pz.degree != 3:
                 raise RankInstability("collision")
@@ -337,7 +341,7 @@ class TestChooseBeta:
             from polymom.errors import RankInstability
 
             coords = tuple(a + beta * b for a, b in zip(z1, z2))
-            ms = sequence_from_oracle(oracle, coords, 4)
+            ms = oracle.sequence(coords, moments_needed(2, 4, 0))
             pz = prony_polynomial_from_sequence(ms, 4)
             if pz.degree != 4:
                 raise RankInstability("collision")
@@ -560,6 +564,19 @@ FLOAT_CUBE_VERTICES = (
 )
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_direct_float_solve_is_the_pipelines(noise):
+    # the direct call sizes its Hankel and its separation guard from the
+    # sequence's mode and the noise level, as the pipeline does
+    oracle = PolytopeMomentOracle(unit_square(), mode="float", noise=noise, rng=Random(4))
+    pipe = _Pipeline(oracle, 4, RunConfig(mode="float", seed=1, noise=noise), Random(1))
+    coords = (0.3, 0.7)
+    want = pipe.projections_at(coords, 4)
+    got = projections_from_moments(pipe.sequence_at(coords, 4), 4, noise)
+    assert (got.values, got.n, got.rank, got.poly) == (want.values, want.n, want.rank, want.poly)
+    assert want.n == 4
+
+
 class TestEarlyRankExit:
     """A combined-direction trial whose Hankel rank at m is not (D+1) n
     stops after that one values-only SVD; a trial at the expected rank
@@ -590,8 +607,8 @@ class TestEarlyRankExit:
         assert calls == ["values"]
         # the public solve keeps deciding on the ranks alone
         del calls[:]
-        ms = sequence_from_oracle(oracle, coords, 3, FLOAT_OVERSAMPLE)
-        assert prony_polynomial_from_sequence(ms, 3, FLOAT_OVERSAMPLE).degree == 4
+        ms = oracle.sequence(coords, moments_needed(2, 3, 0, "float"))
+        assert prony_polynomial_from_sequence(ms, 3).degree == 4
         assert calls == ["values", "values", "svd", "lstsq"]
 
 
@@ -815,7 +832,7 @@ class TestSequenceReconstruction:
         square = unit_square()
         fsquare = polytope_to_float(square)
         dirs = [(1.0, 0.3), (0.4, 1.0), (1.4, 1.3), (1.8, 2.3)]
-        count = moments_needed(2, 4, 0, FLOAT_OVERSAMPLE)
+        count = moments_needed(2, 4, 0, "float")
         seqs = [moment_sequence(fsquare, z, count) for z in dirs]
         assert {ms.mode for ms in seqs} == {"float"}
         vs = reconstruct_from_sequences(seqs, 4)
@@ -823,12 +840,13 @@ class TestSequenceReconstruction:
 
     def test_float_files_oversampled(self):
         # float mode reads the same oversampled Hankel as the adaptive
-        # pipeline, so each file must hold moments_needed(d, nmax, D, 10)
+        # pipeline, so each file must hold moments_needed(d, nmax, D, "float")
         square = unit_square()
         fsquare = polytope_to_float(square)
         dirs = [(1.0, 0.3), (0.4, 1.0)]
         combined = [tuple(a + beta * b for a, b in zip(*dirs)) for beta in (1.0, 2.0, 3.0)]
-        need = moments_needed(2, 4, 0, FLOAT_OVERSAMPLE)
+        need = moments_needed(2, 4, 0, "float")
+        assert need == 2 * (4 + 1 + FLOAT_OVERSAMPLE) - 1 - 2
 
         def files(count):
             return [moment_sequence(fsquare, z, count, route="direct")
