@@ -32,8 +32,8 @@ class RunConfig:
         _check_noise(self.noise)
         if self.noise and self.mode == EXACT:
             raise InputError("noise requires float mode")
-        if nmax is not None and nmax < 1:
-            raise InputError("nmax must be at least 1")
+        if nmax is not None and not (isinstance(nmax, int) and nmax >= 1):
+            raise InputError(f"nmax must be an integer of at least 1, got {nmax!r}")
         if self.mode == EXACT and not _is_prime(self.denominator):
             raise InputError(
                 f"direction denominator {self.denominator} must be prime in exact mode"

@@ -39,7 +39,7 @@ produce floats, and mixed inputs run on floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, inf, lcm, perm, prod
@@ -547,14 +547,9 @@ def add_noise(ms: MomentSequence, eps_rel: float, rng) -> MomentSequence:
     if ms.mode != FLOAT:
         raise InputError("noise injection requires float mode")
     _check_noise(eps_rel)
-    noisy = tuple(m * (1.0 + rng.uniform(-eps_rel, eps_rel)) for m in ms.moments)
-    return MomentSequence(
-        dim=ms.dim,
-        direction=ms.direction,
-        density_degree=ms.density_degree,
-        mode=ms.mode,
-        moments=noisy,
-    )
+    if rng is None:  # drawn from once per moment, at any level
+        raise InputError("noise requires an explicit rng to draw from")
+    return replace(ms, moments=tuple(m * (1.0 + rng.uniform(-eps_rel, eps_rel)) for m in ms.moments))
 
 
 def moments_to_json(ms: MomentSequence) -> dict:
@@ -582,7 +577,13 @@ def moments_from_json(doc) -> MomentSequence:
         raise InputError(f"bad moment document: {exc}") from None
     if ms.density_degree < 0:
         raise InputError("density_degree must be nonnegative")
+    _check_sequence_direction(ms)
     return ms
+
+
+def _check_sequence_direction(ms: MomentSequence):
+    if len(ms.direction) != ms.dim:
+        raise InputError(f"a direction has {len(ms.direction)} coordinates in dimension {ms.dim}")
 
 
 def save_moments(ms: MomentSequence, path):
@@ -683,10 +684,11 @@ def monomial_moment(p: Polytope, m, rho: MultiPoly | None = None, z=None, rng=No
 class PolytopeMomentOracle:
     """On-demand axial moments of a known polytope.
 
-    Counts distinct measurements (z, j) so the inverse pipeline's moment
-    budget can be audited. Noise, when enabled (float mode only), is drawn
-    once per distinct measurement and cached, so repeated queries are
-    consistent.
+    Every request is a prefix mu_0 .. mu_{k-1} along one direction, stored
+    whole, so the stored measurements (z, j) are the requested ones and
+    their number audits the inverse pipeline's moment budget. Noise, when
+    enabled (float mode only), is drawn once per stored measurement, so
+    repeated queries are consistent.
     """
 
     def __init__(
@@ -703,6 +705,8 @@ class PolytopeMomentOracle:
             raise InputError(f"unknown route {route!r}")
         if mode == FLOAT:
             _check_noise(noise)
+            if noise and rng is None:
+                raise InputError("noise requires an explicit rng to draw from")
             polytope = polytope_to_float(polytope)
             density = density.to_float() if density is not None else None
         elif noise:
@@ -714,8 +718,7 @@ class PolytopeMomentOracle:
         self.route = route
         self.noise = noise
         self.rng = rng
-        self._values = {}
-        self._requested = {}  # coords -> the indices j requested there
+        self._values = {}  # (coords, j) -> mu_j, for a prefix of j per direction
 
     @property
     def dim(self):
@@ -727,12 +730,13 @@ class PolytopeMomentOracle:
 
     @property
     def unique_count(self):
-        """Number of distinct measurements (z, j) actually requested."""
-        return sum(map(len, self._requested.values()))
+        """Number of distinct measurements (z, j) drawn."""
+        return len(self._values)
 
     def _ensure(self, coords, count):
         """The stored values at (coords, j) for j < count, computed as one
-        batch first unless (coords, count - 1) is stored."""
+        batch first unless (coords, count - 1) is stored. A batch is stored
+        whole or, when it raises, not at all."""
         values = self._values
         if (coords, count - 1) not in values:
             if self.mode == EXACT and any(isinstance(x, float) for x in coords):
@@ -752,19 +756,14 @@ class PolytopeMomentOracle:
         return tuple([values[coords, j] for j in range(count)])
 
     def moment(self, z, j: int):
-        coords = _direction_coords(z)
+        """mu_j(z); draws, and counts, the prefix mu_0 .. mu_j."""
         _check_index(j)
-        key = (coords, j)
-        if key not in self._values:
-            self._ensure(coords, j + 1)
-        self._requested.setdefault(coords, set()).add(j)
-        return self._values[key]
+        return self.sequence(z, j + 1).moments[j]
 
     def sequence(self, z, count: int) -> MomentSequence:
         coords = _direction_coords(z)
         _check_index(count)
         moments = self._ensure(coords, count)
-        self._requested.setdefault(coords, set()).update(range(count))
         return MomentSequence(
             dim=self.dim,
             direction=coords,
@@ -780,12 +779,14 @@ def _check_index(j):
 
 
 class SequenceMomentOracle:
-    """Oracle over pre-baked moment sequences (one per stated direction)."""
+    """Oracle over pre-baked moment sequences, one per stated direction;
+    counts the longest prefix read along each."""
 
     def __init__(self, sequences):
         if not sequences:
             raise InputError("no moment sequences supplied")
         first = sequences[0]
+        self.sequences = {}
         for ms in sequences:
             for name in ("dim", "mode", "density_degree"):
                 if getattr(ms, name) != getattr(first, name):
@@ -793,15 +794,14 @@ class SequenceMomentOracle:
                         f"moment sequences disagree on {name}: "
                         f"{getattr(first, name)!r} and {getattr(ms, name)!r}"
                     )
-            if len(ms.direction) != first.dim:
-                raise InputError(
-                    f"a direction has {len(ms.direction)} coordinates in dimension {first.dim}"
-                )
-        self.sequences = {tuple(ms.direction): ms for ms in sequences}
+            _check_sequence_direction(ms)
+            coords = tuple(ms.direction)
+            if self.sequences.setdefault(coords, ms).moments != ms.moments:
+                raise InputError(f"two moment sequences along direction {coords} disagree")
         self.dim = first.dim
         self.density_degree = first.density_degree
         self.mode = first.mode
-        self._used = set()
+        self._read = dict.fromkeys(self.sequences, 0)  # coords -> the longest prefix read
 
     @property
     def directions(self):
@@ -809,29 +809,21 @@ class SequenceMomentOracle:
 
     @property
     def unique_count(self):
-        return len(self._used)
+        return sum(self._read.values())
 
     def moment(self, z, j: int):
-        coords = _direction_coords(z)
         _check_index(j)
-        ms = self.sequences.get(coords)
-        if ms is None:
-            raise InputError(f"no moments supplied for direction {coords}")
-        if j >= len(ms.moments):
-            raise InsufficientMoments(
-                f"direction {coords}: moment index {j} beyond supplied {len(ms.moments)}"
-            )
-        self._used.add((coords, j))
-        return ms.moments[j]
+        return self.sequence(z, j + 1).moments[j]
 
     def sequence(self, z, count: int) -> MomentSequence:
         coords = _direction_coords(z)
         _check_index(count)
-        moments = tuple(self.moment(coords, j) for j in range(count))
-        return MomentSequence(
-            dim=self.dim,
-            direction=coords,
-            density_degree=self.density_degree,
-            mode=self.mode,
-            moments=moments,
-        )
+        ms = self.sequences.get(coords)
+        if ms is None:
+            raise InputError(f"no moments supplied for direction {coords}")
+        if count > len(ms.moments):
+            raise InsufficientMoments(
+                f"direction {coords}: need {count} moments, {len(ms.moments)} supplied"
+            )
+        self._read[coords] = max(self._read[coords], count)
+        return replace(ms, moments=ms.moments[:count])

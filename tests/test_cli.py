@@ -114,8 +114,10 @@ SIMPLEX_3D_DOC = {"dim": 3, "direction": ["1", "2", "3"], "mode": "exact",
     ([MOMENT_DOC, {**MOMENT_DOC, "direction": ["2", "1"], "density_degree": 1}],
      "disagree on density_degree"),
     ([MOMENT_DOC, {**MOMENT_DOC, "direction": ["2", "1", "3"]}], "3 coordinates"),
+    ([MOMENT_DOC, {**MOMENT_DOC, "moments": ["1", *MOMENT_DOC["moments"][1:]]}],
+     "two moment sequences along direction"),
 ], ids=["exact-then-float", "3d-then-2d", "2d-then-3d", "density-degree",
-        "direction-length"])
+        "direction-length", "repeated-direction"])
 def test_mismatched_moment_files_exit_2(tmp_path, capsys, docs, needle):
     paths = []
     for i, doc in enumerate(docs):

@@ -908,6 +908,15 @@ class TestNoise:
         with pytest.raises(InputError):
             add_noise(ms, 1e-9, Random(1))
 
+    def test_positive_noise_without_rng_rejected(self):
+        # both died at the first draw with AttributeError on None.uniform
+        for eps in (1e-9, 0.0):
+            with pytest.raises(InputError, match="explicit rng"):
+                add_noise(self._ms(), eps, None)
+        with pytest.raises(InputError, match="explicit rng"):
+            PolytopeMomentOracle(unit_square(), mode="float", noise=1e-9)
+        PolytopeMomentOracle(unit_square(), mode="float").sequence((0.25, 0.75), 3)  # no draw
+
 
 class TestRoutesAndFiles:
     def test_sequence_mode_follows_the_data(self):
@@ -934,6 +943,12 @@ class TestRoutesAndFiles:
         doc = moments_to_json(ms)
         back = moments_from_json(json.loads(json.dumps(doc)))
         assert back == ms
+
+    def test_json_dim_must_match_the_direction(self):
+        # labelled dim 3, the unit square along (1, 3) surfaced as IrrationalRoot
+        doc = moments_to_json(moment_sequence(unit_square(), (F(1), F(3)), 9))
+        with pytest.raises(InputError, match="2 coordinates in dimension 3"):
+            moments_from_json({**doc, "dim": 3})
 
     def test_unknown_mode_or_route_rejected(self):
         # a "bogus" oracle labelled its sequences so and Prony solved them as
@@ -971,8 +986,9 @@ class TestRoutesAndFiles:
 
 
 class _ReferenceOracle(PolytopeMomentOracle):
-    """The oracle's bookkeeping before one entry per direction: a set of
-    (coords, j) keys, and ``sequence`` calling ``moment`` for every j."""
+    """The oracle's bookkeeping before one store per oracle: a set of
+    (coords, j) keys, ``moment`` charging the prefix up to j, and
+    ``sequence`` calling ``moment`` for every j."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -986,7 +1002,7 @@ class _ReferenceOracle(PolytopeMomentOracle):
         key = (tuple(z), j)
         if key not in self._values:
             self._ensure(tuple(z), j + 1)
-        self._requested.add(key)
+        self._requested.update((tuple(z), i) for i in range(j + 1))
         return self._values[key]
 
     def sequence(self, z, count):
@@ -1021,6 +1037,38 @@ class TestOracleBookkeeping:
                 else:
                     assert got == want
                 assert new.unique_count == old.unique_count
+
+    @pytest.mark.parametrize("kwargs", [{}, {"route": "direct"}, {"mode": "float"},
+                                        {"mode": "float", "noise": 1e-6}],
+                             ids=["exact", "direct", "float", "noisy"])
+    def test_count_is_the_store_size(self, kwargs):
+        # every request is a prefix stored whole, so the stored measurements
+        # are the longest prefix requested along each direction
+        oracle = PolytopeMomentOracle(unit_square(), rng=Random(19), **kwargs)
+        longest = {}
+        for kind, z, k in self._calls(19, 2):
+            getattr(oracle, kind)(z, k)
+            longest[z] = max(longest.get(z, 0), k + (kind == "moment"))
+            assert oracle.unique_count == len(oracle._values) == sum(longest.values())
+
+    def test_sequence_oracle_counts_the_longest_prefix_read(self):
+        calls = list(self._calls(20, 2))
+        dirs = list(dict.fromkeys(z for _, z, _ in calls))
+        sequences = [moment_sequence(unit_square(), z, 10) for z in dirs]
+        oracle = SequenceMomentOracle(sequences)
+        longest = dict.fromkeys(dirs, 0)
+        for kind, z, k in calls:
+            got = getattr(oracle, kind)(z, k)
+            want = sequences[dirs.index(z)]
+            if kind == "sequence":
+                assert got == MomentSequence(2, z, 0, "exact", want.moments[:k])
+            else:
+                assert got == want.moments[k]
+            longest[z] = max(longest[z], k + (kind == "moment"))
+            assert oracle.unique_count == sum(longest.values())
+        with pytest.raises(InsufficientMoments):
+            oracle.sequence(dirs[0], 11)
+        assert oracle.unique_count == sum(longest.values())
 
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1e-6, -1e-9])
     def test_non_finite_or_negative_noise_rejected(self, noise):

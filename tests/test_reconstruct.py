@@ -410,6 +410,11 @@ class TestReconstruct:
         vs = reconstruct(oracle, 8, _cfg(), rng=Random(3))
         assert vs.vertices == tuple(sorted(cube.vertices))
 
+    def test_non_integer_nmax_rejected(self):
+        # 4.5 died in range() with a TypeError
+        with pytest.raises(InputError, match="nmax must be an integer"):
+            reconstruct(PolytopeMomentOracle(unit_triangle()), 4.5, _cfg(), Random(7))
+
     def test_moment_budget_exact(self):
         # (2d-1)(2N+1-d) distinct measurements with nmax = N and no retries
         for p, n in ((unit_triangle(), 3), (unit_square(), 4), (unit_cube(), 8)):
@@ -820,6 +825,18 @@ class TestSequenceReconstruction:
         seqs = self._sequences(tri, [(F(1), F(2)), (F(2), F(1))], 7)
         with pytest.raises(MatchingFailure, match="matches base direction 1"):
             reconstruct_from_sequences(seqs, 3)
+
+    @pytest.mark.parametrize("triangle_first", [True, False])
+    def test_a_direction_supplied_twice_must_agree(self, triangle_first):
+        # a triangle's z_1 file among the square's: first, the square came
+        # back with a success status; last, the solve blamed the directions
+        dirs = [(F(1), F(2)), (F(2), F(1))]
+        square = self._sequences(unit_square(), dirs, 9, betas=[(1, F(b)) for b in (1, 2, 3)])
+        other = self._sequences(unit_triangle(), dirs[:1], 9)
+        with pytest.raises(InputError, match="two moment sequences along direction"):
+            reconstruct_from_sequences(other + square if triangle_first else square + other, 4)
+        vs = reconstruct_from_sequences(square + square[:1], 4)
+        assert vs.vertices == tuple(sorted(unit_square().vertices))
 
     def test_too_few_directions(self):
         tri = unit_triangle()
