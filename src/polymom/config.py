@@ -32,7 +32,10 @@ class RunConfig:
         _check_noise(self.noise)
         if self.noise and self.mode == EXACT:
             raise InputError("noise requires float mode")
-        if nmax is not None and not (isinstance(nmax, int) and nmax >= 1):
+        # a bool is an int: nmax=True must not read as 1
+        if nmax is not None and (
+            isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 1
+        ):
             raise InputError(f"nmax must be an integer of at least 1, got {nmax!r}")
         if self.mode == EXACT and not _is_prime(self.denominator):
             raise InputError(

@@ -7,7 +7,10 @@ With a polynomial density of degree D, every projection appears as a root
 of multiplicity D+1 and the rank is (D+1) N.
 
 Exact mode reads the rank and the kernel polynomial off one
-Berlekamp-Massey pass over the scaled moments (no elimination). Its
+Berlekamp-Massey pass over the scaled moments (no elimination): from
+Hankel size m = 10 on, a pass modulo a power of 2^61 - 1 whose rational
+reconstruction an exact check certifies; the fraction-free pass runs below
+that size and as its fallback, and decides every full-rank case. Its
 rational roots r = u/s are the integer roots u of the monic integer
 polynomial s^n p(u/s) (Gauss's lemma): integer Newton on g/g' (Schroeder's
 iteration), else on g, lifts float seeds to them and an exact evaluation
@@ -26,9 +29,11 @@ at m differs stops after that first SVD.
 from __future__ import annotations
 
 import warnings
+from itertools import zip_longest
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import numpy as np
 
@@ -54,6 +59,12 @@ DEFAULT_SEPARATION_TOL = 5e-2
 # extra Hankel rows in float mode; noise averages out over the larger
 # system while exact mode stays at the frugal minimum m = N + 1
 FLOAT_OVERSAMPLE = 10
+# exact Berlekamp-Massey passes with m at least this run ``_modular_bm``
+# first; below it the fraction-free pass's integers stay small enough to win
+# (exact-ladder's passes: the modular route is slower at m = 9, faster at 11)
+_MODULAR_BM_MIN = 10
+# the modular pass works mod a power of this Mersenne prime
+_MERSENNE_PRIME = 2**61 - 1
 
 
 def _separation_width(noise: float) -> float:
@@ -145,9 +156,16 @@ def _berlekamp_massey(s, m: int):
     by C <- d_B C - d x^shift B (d_B = lam for the initial B = 1) and divided
     by their content. Each discrepancy is a nonzero multiple of the rational
     one, so every decision is that of the pass over Q; C / C_0 is returned.
+
+    From m = _MODULAR_BM_MIN on, the certified ``_modular_bm`` runs first
+    and the fraction-free pass only when it gives no answer.
     """
     lam = lcm(*(x.denominator for x in s))
     s = [x.numerator * (lam // x.denominator) for x in s]
+    if m >= _MODULAR_BM_MIN:
+        found = _modular_bm(s, m)
+        if found is not None:
+            return found
     conn, prev = [1], [1]
     length, shift, prev_disc = 0, 1, lam
     for n, sn in enumerate(s):
@@ -172,6 +190,83 @@ def _berlekamp_massey(s, m: int):
             conn = update
             shift += 1
     return length, [Fraction(x, conn[0]) for x in conn]
+
+
+def _rational(t, big, bound):
+    """a / b with a = b t mod big and |a|, b <= bound = isqrt(big // 2), by
+    the half extended Euclid on (big, t); None when b exceeds the bound."""
+    r0, r1, b0, b1 = big, t % big, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, b0, b1 = r1, r0 - q * r1, b1, b0 - q * b1
+    if abs(b1) > bound:
+        return None
+    return (r1, b1) if b1 > 0 else (-r1, -b1)
+
+
+def _modular_bm(s, m: int):
+    """``_berlekamp_massey``'s (L, C) for the integer sequence s, from one
+    fraction-free pass mod P = p^e, p = _MERSENNE_PRIME (61 e >= the bits of
+    the largest entry + 32), or None, which only means the caller's
+    fraction-free pass has to decide.
+
+    The pass gives up when a nonzero discrepancy mod P is divisible by p,
+    when L reaches m, or when 2L > len(s). C / C_0 mod P is read back as
+    rationals over one running common denominator (most coefficients are
+    then small integers; the others take a rational reconstruction). The
+    answer stands only if the integer polynomial annihilates every window
+    s_n, n = L .. len(s)-1, over Z. Then it is the rational pass's answer:
+    - the check shows that the linear complexity L_Q over Q is at most L;
+    - every nonzero discrepancy is a unit mod p, so the pass reduced mod p
+      is Berlekamp-Massey over F_p with the same decisions, and L lies in
+      its length profile: the leading L x L Hankel is nonsingular mod p,
+      hence over Q, so L_Q >= L;
+    - as 2L <= len(s), the connection polynomial of length L is unique.
+    The fraction-free pass still decides every L >= m (FullRankHankel,
+    RankInstability).
+    """
+    p = _MERSENNE_PRIME
+    big = p ** -(-(max(map(abs, s), default=0).bit_length() + 32) // 61)
+    r = [x % big for x in s]
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for n in range(len(r)):
+        disc = sum(map(mul, conn, r[n::-1])) % big
+        if disc == 0:
+            shift += 1
+            continue
+        if disc % p == 0:
+            return None
+        update = [(prev_disc * a - disc * b) % big
+                  for a, b in zip_longest(conn, [0] * shift + prev, fillvalue=0)]
+        if 2 * length <= n:
+            prev, prev_disc = conn, disc
+            length, shift = n + 1 - length, 1
+            if length >= m:
+                return None
+        else:
+            shift += 1
+        conn = update
+    if 2 * length > len(s):
+        return None
+    inv, bound = pow(conn[0], -1, big), isqrt(big // 2)
+    den, nums = 1, []
+    for c in conn:
+        t = c * inv * den % big
+        if t > big // 2:
+            t -= big
+        if abs(t) > bound:
+            frac = _rational(t, big, bound)
+            if frac is None:
+                return None
+            t, b = frac
+            den *= b
+            nums = [x * b for x in nums]
+        nums.append(t)
+    for n in range(length, len(s)):
+        if sum(map(mul, nums, s[n::-1])):
+            return None
+    return length, [Fraction(x, den) for x in nums]
 
 
 def _exact_kernel(c, m: int) -> tuple:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 from random import Random
 
 import numpy as np
@@ -116,8 +116,11 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, match_tol=FLOAT_TOL):
     sum_i alpha_i values_i[k_i] is a root of pz (float projections: |pz| <
     match_tol), or None when pz has an irrational root. Exact data searches
     the roots once: their multiplicities add up to the degree, so a
-    candidate is a root exactly when it is a key. Float data builds every
-    candidate sum by broadcasting and runs ``pz.eval`` on them all at once."""
+    candidate is a root exactly when it is a key. The scaled projections
+    share one denominator q, so the candidate sums are ints over q, and only
+    the roots r whose denominator divides q can be one: the keys are those
+    r q. Float data builds every candidate sum by broadcasting and runs
+    ``pz.eval`` on them all at once."""
     scaled = [[a * x for x in vals] for a, vals in zip(alphas, values)]
     if _is_float(values):
         d = len(scaled)
@@ -126,12 +129,16 @@ def _tuple_hits(pz: PronyPolynomial, alphas, values, match_tol=FLOAT_TOL):
             total = np.broadcast_to(pz.eval(x), x.shape)  # degree 0: the scalar 1
         return [tuple(k) for k in np.argwhere(abs(total) < match_tol).tolist()]
     try:
-        hit = prony.roots_exact(pz).__contains__
+        roots = prony.roots_exact(pz)
     except IrrationalRoot:
         return None
+    q = lcm(*(x.denominator for row in scaled for x in row))
+    rows = [[x.numerator * (q // x.denominator) for x in row] for row in scaled]
+    hit = {r.numerator * (q // r.denominator) for r in roots
+           if q % r.denominator == 0}.__contains__
     return [
         combo for combo in itertools.product(*(range(len(v)) for v in values))
-        if hit(sum(row[k] for row, k in zip(scaled, combo)))
+        if hit(sum(row[k] for row, k in zip(rows, combo)))
     ]
 
 
@@ -245,7 +252,8 @@ class _Pipeline:
         """A fresh direction, linearly independent of ``existing``, and its
         projections. With ``n`` None the direction is probed at nmax; exact
         Hankel rank is at most (D+1)N along every direction (collisions only
-        lower it), so in exact mode a full rank means nmax < N and is raised.
+        lower it), so in exact mode a full rank means nmax < N and is raised;
+        so is a linear complexity past the Hankel size (RankInstability).
 
         With ``n`` set the Prony solve must report n vertices. A full-rank
         Hankel at size n means an earlier direction undercounted (silent
@@ -263,8 +271,13 @@ class _Pipeline:
                 proj = self.projections_at(coords, self.nmax if n is None else n)
             except _BAD_DIRECTION as exc:
                 full = isinstance(exc, FullRankHankel)
-                if full and n is None and self.config.mode == EXACT:
-                    raise
+                if n is None and self.config.mode == EXACT:
+                    if full:
+                        raise
+                    if isinstance(exc, RankInstability):
+                        raise RankInstability(
+                            f"nmax={self.nmax} is below the vertex count: {exc}"
+                        ) from exc
                 last_error = exc
                 self.prov.retries += 1
                 if full and n is not None and n < self.nmax:

@@ -1,5 +1,6 @@
 """Hankel construction, rank/kernel extraction, and root recovery."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt, perm
 from random import Random
@@ -25,6 +26,7 @@ from polymom.errors import (
     RankNotDivisible,
 )
 from polymom.geometry import (
+    Polytope,
     check_distinct_projections,
     dot,
     sample_generic_direction,
@@ -347,6 +349,108 @@ class TestFractionFreeBerlekampMassey:
         for n in range(0, 12):
             c = [F(0)] * n
             assert prony._berlekamp_massey(c, 6) == _fraction_bm(c, 6) == (0, [F(1)])
+
+    # from m = 10 on the certified modular pass answers first
+
+    def test_modular_range_sequences(self, rng):
+        answered = 0
+        for _ in range(80):
+            m = rng.randint(10, 16)
+            c = _exponential_sum(rng, m)
+            with _modular_outcomes() as outcomes:
+                got = prony._berlekamp_massey(c, m)
+            assert got == _fraction_bm(c, m), (c, m)
+            answered += outcomes == [True]
+        assert answered > 40
+
+    def test_length_reaching_m_falls_back(self):
+        # random integers: the length reaches m, which only the
+        # fraction-free pass decides (FullRankHankel or RankInstability)
+        rng = Random(8)
+        for _ in range(40):
+            m = rng.randint(10, 14)
+            c = [F(rng.randint(-9, 9)) for _ in range(2 * m - 1)]
+            with _modular_outcomes() as outcomes:
+                got = prony._berlekamp_massey(c, m)
+            assert got[0] >= m and outcomes == [False]
+            assert got == _fraction_bm(c, m), (c, m)
+        # longer sequences: the pass over Q stops where the length reaches m
+        reached = 0
+        for _ in range(30):
+            m = rng.randint(10, 12)
+            c = _exponential_sum(rng, m + 6)
+            with _modular_outcomes() as outcomes:
+                got = prony._berlekamp_massey(c, m)
+            assert got == _fraction_bm(c, m), (c, m)
+            if got[0] >= m:
+                reached += 1
+                assert outcomes == [False]
+        assert reached > 5
+
+    def test_unlucky_prime_falls_back(self, rng, monkeypatch):
+        # mod 3 discrepancies vanish or reconstructions fail: same answers
+        monkeypatch.setattr(prony, "_MERSENNE_PRIME", 3)
+        fell_back = 0
+        for _ in range(40):
+            m = rng.randint(10, 13)
+            c = _exponential_sum(rng, m)
+            with _modular_outcomes() as outcomes:
+                got = prony._berlekamp_massey(c, m)
+            assert got == _fraction_bm(c, m), (c, m)
+            fell_back += outcomes == [False]
+        assert fell_back > 20
+
+    def test_short_sequence_falls_back(self):
+        # length 3 > 2 * 1 = len(s): not unique, the fraction-free pass decides
+        for c in ([F(0), F(0), F(5)], [F(3)], [F(0), F(1)], [F(0)] * 5 + [F(1)]):
+            with _modular_outcomes() as outcomes:
+                got = prony._berlekamp_massey(c, 10)
+            assert 2 * got[0] > len(c) and outcomes == [False]
+            assert got == _fraction_bm(c, 10)
+
+    def test_ngon_solve_is_modular(self):
+        # a fast path that silently stops answering fails here
+        p = Polytope(dim=2, vertices=tuple((F(k), F(k * k, 7)) for k in range(20)))
+        z = sample_generic_direction(2, 1000003, Random(3), EXACT).coords
+        ms = moment_sequence(p, z, moments_needed(2, 20, 0))
+        with _modular_outcomes() as outcomes:
+            got = projections_from_moments(ms, 20)
+        assert outcomes == [True] and got.n == 20
+        assert got.values == tuple(sorted(dot(v, z) for v in p.vertices))
+
+
+@contextmanager
+def _modular_outcomes():
+    """Records, per call of ``prony._modular_bm``, whether it answered."""
+    outcomes = []
+    modular = prony._modular_bm
+
+    def counted(s, m):
+        found = modular(s, m)
+        outcomes.append(found is not None)
+        return found
+
+    prony._modular_bm = counted
+    try:
+        yield outcomes
+    finally:
+        prony._modular_bm = modular
+
+
+def _exponential_sum(rng, m):
+    """2m - 1 entries of a polytope-like sum_i w_i x_i^k with at most m - 1
+    nodes over mixed denominators; sometimes leading zeros, sometimes one
+    entry perturbed."""
+    dens = (1, 7, 7**3, 1000003, 999983 * 7, 10007)
+    zeros = rng.choice((0, 0, 1, 2, 3))
+    nodes = [F(rng.randint(-10**4, 10**4), rng.choice(dens))
+             for _ in range(rng.randint(1, m - 1 - zeros))]
+    weights = [F(rng.randint(-100, 100) or 1, rng.choice(dens)) for _ in nodes]
+    seq = [F(0)] * zeros + [sum(w * x**k for w, x in zip(weights, nodes))
+                            for k in range(2 * m - 1 - zeros)]
+    if rng.random() < 0.3:
+        seq[rng.randrange(len(seq))] += F(1, rng.choice(dens))
+    return seq
 
 
 class TestKernelShiftProperty:

@@ -189,6 +189,13 @@ class TestRootSetMatching:
                 sizes.add(len(hits) == len(verts))
         assert sizes == {True, False}
 
+    def test_root_off_the_common_denominator_is_no_hit(self):
+        # the candidate sums are ints over q = 1, so a root 1/2 equals none
+        values = [(F(0), F(1)), (F(0), F(1))]
+        assert _tuple_hits(_poly_from_roots([F(1, 2), F(3, 2)]), (1, 1), values) == []
+        assert _tuple_hits(_poly_from_roots([F(1, 2), F(1)]), (1, 1), values) == [
+            (0, 1), (1, 0)]
+
     def test_irrational_factor_is_a_failed_trial(self):
         # t (t - 3) (t^2 - 2): Horner would find the rational candidates
         pz = _poly_from_roots([F(0), F(3)])
@@ -414,6 +421,11 @@ class TestReconstruct:
         # 4.5 died in range() with a TypeError
         with pytest.raises(InputError, match="nmax must be an integer"):
             reconstruct(PolytopeMomentOracle(unit_triangle()), 4.5, _cfg(), Random(7))
+
+    def test_bool_nmax_rejected(self):
+        # a bool is an int, and nmax=True read as 1
+        with pytest.raises(InputError, match="nmax must be an integer"):
+            RunConfig().validate(True)
 
     def test_moment_budget_exact(self):
         # (2d-1)(2N+1-d) distinct measurements with nmax = N and no retries
@@ -936,6 +948,17 @@ class TestIntegerDirections:
         with pytest.raises(FullRankHankel):
             run(oracle, 3, RunConfig(seed=1), Random(1))
         assert oracle.unique_count == 5
+
+    @pytest.mark.parametrize("run", [reconstruct, match_frugal_d_plus_1, vertices_univar])
+    @pytest.mark.parametrize("shape, nmax", [(unit_square, 1), (unit_cube, 2)])
+    def test_nmax_below_the_dimension_stops_at_the_first_direction(self, run, shape, nmax):
+        # the d structural zeros of the scaled vector push the linear
+        # complexity past m = nmax + 1, which exact data reaches only when
+        # nmax < N: one probe of 2m - 1 - d = nmax measurements, no retries
+        oracle = PolytopeMomentOracle(shape())
+        with pytest.raises(RankInstability, match=f"nmax={nmax} is below the vertex count"):
+            run(oracle, nmax, RunConfig(seed=1), Random(1))
+        assert oracle.unique_count == nmax
 
 
 class TestReconstructionError:
