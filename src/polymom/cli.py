@@ -252,7 +252,7 @@ def build_parser():
                     default="matching")
     rt.add_argument("--route", choices=["brion", "direct"], default="brion")
     rt.add_argument("--self-check", dest="self_check", action="store_true",
-                    help="verify the result against a held-out direction")
+                    help="verify the result against a held-out direction drawn at r = 1000003")
     rt.add_argument("--out", default=None)
     _add_common(rt)
     rt.set_defaults(func=cmd_roundtrip)

@@ -401,14 +401,15 @@ def _poly_mul(a, b):
     return out
 
 
-def _integer_seeds(g, s):
-    """Rounded float roots of g, found in t = u/s (in u the coefficients
-    can overflow a double); seeds far off the real axis are dropped."""
+def _integer_seeds(g):
+    """Rounded float roots of the monic integer g, found on g(2^e t)/2^(e n)
+    with 2^e above Fujiwara's bound 2 max |g_i|^(1/(n-i)) on its roots: each
+    scaled g_i, i < n, is below 2^-(n-i) and the roots t lie in the unit disc,
+    however large the roots of g. Seeds far off the real axis are dropped."""
     n = len(g) - 1
-    t = [Fraction(c, s ** (n - i)) for i, c in enumerate(g)]
-    mx = max(abs(x) for x in t)
-    roots = np.roots([float(x / mx) for x in reversed(t)])
-    return {round(Fraction(r.real) * s) for r in roots
+    e = 1 + max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
+    roots = np.roots([g[i] / 2 ** (e * (n - i)) for i in range(n, -1, -1)])
+    return {round(Fraction(r.real) * 2**e) for r in roots
             if abs(r.imag) <= 0.5 * (1 + abs(r.real))}
 
 
@@ -449,32 +450,15 @@ def _divide_root(g, u):
     return quotient[::-1], remainder
 
 
-def _integer_roots(g, s):
-    """Distinct integer roots of the integer polynomial g. Each pass
-    divides g by every new root, so roots that shared a seed get seeds of
-    their own in the next pass; a pass that finds nothing new ends the
-    search."""
-    found = set()
-    while len(g) > 1:
-        dg = poly_derivative(g)
-        ddg = poly_derivative(dg)
-        new = {_lift(g, dg, ddg, u) for u in _integer_seeds(g, s)} - found - {None}
-        if not new:
-            break
-        found |= new
-        for u in new:
-            g = _divide_root(g, u)[0]
-    return found
-
-
 def roots_exact(p: PronyPolynomial) -> dict:
     """Rational roots with multiplicities; raises IrrationalRoot unless the
     multiplicities sum to the degree.
 
     The roots are searched on the multiplicity hint's n-th root of the
-    polynomial when it exists, else on the polynomial itself. Each root
-    found is divided out as often as it divides, which is its multiplicity
-    (times the hint's power), and the search repeats on the remainder.
+    polynomial when it exists, else on the polynomial itself. One loop
+    seeds and lifts once on the polynomial it searches, divides each root
+    found out of the remainder as often as it divides, which is its
+    multiplicity (times the hint's power), and searches the remainder next.
     While a search finds nothing it walks down the remainder's derivative
     chain: a root of multiplicity k is simple in the (k-1)-th derivative.
 
@@ -493,8 +477,10 @@ def roots_exact(p: PronyPolynomial) -> dict:
         power = degree // (len(g) - 1)
         rest = chain = g
         while len(rest) > 1:
+            dg = poly_derivative(chain)
+            ddg = poly_derivative(dg)
             grown = False
-            for u in _integer_roots(chain, s):
+            for u in {_lift(chain, dg, ddg, u) for u in _integer_seeds(chain)} - {None}:
                 mult = 0
                 quotient, remainder = _divide_root(rest, u)
                 while remainder == 0:

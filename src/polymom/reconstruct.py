@@ -40,7 +40,7 @@ from .errors import (
     OracleDisagreement,
     RankInstability,
 )
-from .geometry import Polytope, sample_generic_direction
+from .geometry import DEFAULT_DENOMINATOR, Polytope, sample_generic_direction
 from .moments import MomentSequence, axial_moments_direct, triangulation_of
 from .numeric import EXACT
 from .prony import (
@@ -224,13 +224,13 @@ class _Pipeline:
         # reconstructions sit many orders below bad ones, the bound splits the gap
         self.residual_bound = max(FLOAT_TOL, 1e3 * self.config.noise)
 
-    def sample_direction(self):
-        """A draw z of ``sample_generic_direction``; exact mode returns its
-        integer numerators r z: projections and Prony roots times r."""
-        z = sample_generic_direction(
-            self.oracle.dim, self.config.denominator, self.rng, self.config.mode
-        ).coords
-        return tuple(int(x * self.unit) for x in z) if self.config.mode == EXACT else z
+    def sample_direction(self, r=None):
+        """A draw z of ``sample_generic_direction`` at the prime r, the run's
+        denominator by default; exact mode returns its integer numerators
+        r z: projections and Prony roots times r."""
+        r = r or self.config.denominator
+        z = sample_generic_direction(self.oracle.dim, r, self.rng, self.config.mode).coords
+        return tuple(int(x * r) for x in z) if self.config.mode == EXACT else z
 
     def sequence_at(self, coords, n) -> MomentSequence:
         """The moments along coords that one Prony solve for n vertices consumes."""
@@ -363,24 +363,31 @@ def _projection_residual(pipeline: _Pipeline, vertices, coords):
     """Triangulation-free consistency check on a held-out direction.
 
     Recovers the direction's projections from fresh moments through the
-    normal Hankel solve and compares them with the projections predicted
-    from the reconstructed vertices. Returns a relative residual, or None
-    when the direction is unusable."""
+    normal Hankel solve at the result's size and compares them with the
+    projections predicted from the reconstructed vertices. Returns a
+    relative residual, or None when the direction is unusable: the
+    predicted projections collide or a cone denominator vanishes. In exact
+    mode every other failure of the solve, and any projections other than
+    the predicted ones, count included, reject with residual 1; float mode
+    skips a direction whose solve fails or miscounts."""
     n = len(vertices)
-    try:
-        ps = pipeline.projections_at(coords, n)
-    except _BAD_DIRECTION:
-        return None
-    if ps.n != n:
-        # the held-out direction itself misbehaved; try another one
-        return None
+    exact = pipeline.config.mode == EXACT
     predicted = sorted(
         sum(a * b for a, b in zip(v, coords)) for v in vertices
     )
-    if len(set(predicted)) != n:
+    collide = len(set(predicted)) != n
+    if exact and collide:
         return None
-    if pipeline.config.mode == EXACT:
+    try:
+        ps = pipeline.projections_at(coords, n)
+    except DenominatorVanishes:
+        return None
+    except _BAD_DIRECTION:
+        return 1.0 if exact else None
+    if exact:
         return 0.0 if list(ps.values) == predicted else 1.0
+    if ps.n != n or collide:
+        return None
     spread = 1.0 + float(predicted[-1]) - float(predicted[0])
     return max(
         abs(float(a) - float(b)) for a, b in zip(predicted, ps.values)
@@ -389,7 +396,8 @@ def _projection_residual(pipeline: _Pipeline, vertices, coords):
 
 def _self_check(pipeline: _Pipeline, vertices):
     """Verify the reconstruction against the oracle on one held-out
-    direction: forward integration when a triangulation of the result is
+    direction, drawn at ``DEFAULT_DENOMINATOR`` whatever the run's own
+    denominator: forward integration when a triangulation of the result is
     available, the Hankel annihilation property otherwise."""
     oracle = pipeline.oracle
     prov = pipeline.prov
@@ -398,7 +406,7 @@ def _self_check(pipeline: _Pipeline, vertices):
     before = oracle.unique_count
     tol = pipeline.residual_bound
     for _ in range(DIRECTION_RETRIES):
-        coords = pipeline.sample_direction()
+        coords = pipeline.sample_direction(DEFAULT_DENOMINATOR)
         if recon is None:
             residual = _projection_residual(pipeline, vertices, coords)
             if residual is None:

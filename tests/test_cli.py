@@ -17,7 +17,7 @@ from polymom import cli, prony
 from polymom.cli import main
 from polymom.config import RunConfig
 from polymom.errors import NonGenericDirection
-from polymom.geometry import polytope_to_json, save_polytope
+from polymom.geometry import Polytope, polytope_to_json, save_polytope
 from polymom.univar import interpolate_fab, vertices_univar
 
 F = Fraction
@@ -475,6 +475,18 @@ class TestRoundtrip:
         code = main([
             "roundtrip", str(path), "--nmax", "6", "--seed", "5",
             "--denominator", "10007", "--route", "direct", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["exact_match"] is True
+
+    def test_ngon48_exact(self, tmp_path):
+        # projections up to 48 * 1000003 at the default denominator
+        path = tmp_path / "ngon48.json"
+        save_polytope(Polytope(dim=2, vertices=tuple(
+            (F(k), F(k * k, 7)) for k in range(48))), path)
+        out = tmp_path / "r.json"
+        code = main([
+            "roundtrip", str(path), "--nmax", "48", "--seed", "1", "--out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["exact_match"] is True

@@ -625,10 +625,10 @@ class TestRootSearch:
     def test_close_pair_seeded_on_the_midpoint(self):
         # roots (m -+ 1)/7: with s = 7, g(u) = (u - m)^2 - 1 and both float
         # seeds round to the midpoint m, where g'(m) = 0
-        m = 10**9
+        m = 10**12
         roots = [F(m - 1, 7), F(m + 1, 7)]
         coeffs = _from_roots(roots)
-        assert prony._integer_seeds([m * m - 1, -2 * m, 1], 7) == {m}
+        assert prony._integer_seeds([m * m - 1, -2 * m, 1]) == {m}
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == dict.fromkeys(roots, 1)
 
@@ -653,6 +653,13 @@ class TestRootSearch:
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
         assert got == dict.fromkeys(roots, 1)
 
+    def test_large_roots_over_a_small_denominator(self):
+        # g(u) = 7^48 p(u/7) has coefficients far past a double's range
+        roots = [F(k * 10**20 + k * k, 7) for k in range(48)]
+        coeffs = _from_roots(roots)
+        got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))
+        assert got == dict.fromkeys(roots, 1)
+
 
 class TestSquarefreeCertificate:
     """How roots_exact certifies: an exact evaluation per root, and a
@@ -662,9 +669,9 @@ class TestSquarefreeCertificate:
     @staticmethod
     def _count_searches(monkeypatch):
         calls = []
-        search = prony._integer_roots
-        monkeypatch.setattr(prony, "_integer_roots",
-                            lambda g, s: calls.append(len(g) - 1) or search(g, s))
+        search = prony._integer_seeds
+        monkeypatch.setattr(prony, "_integer_seeds",
+                            lambda g: calls.append(len(g) - 1) or search(g))
         return calls
 
     def test_derivative_chain_only_on_a_remainder(self, monkeypatch):
@@ -698,7 +705,7 @@ class TestSquarefreeCertificate:
         # first derivative 3 (u-5)^2
         seeds = prony._integer_seeds
         monkeypatch.setattr(prony, "_integer_seeds",
-                            lambda g, s: seeds(g, s) - ({5} if g[-1] == 1 else set()))
+                            lambda g: seeds(g) - ({5} if g[-1] == 1 else set()))
         calls = self._count_searches(monkeypatch)
         coeffs = _from_roots([F(5)] * 3 + [F(-1)])
         got = roots_exact(PronyPolynomial(tuple(coeffs[:-1])))

@@ -734,11 +734,36 @@ class TestSelfCheckRejects:
         _self_check(pipe, list(cube.vertices))
         assert pipe.prov.self_check_residual == 0.0
 
+    @pytest.mark.parametrize("wrong", ["missing", "extra"])
+    def test_exact_projection_branch_at_a_small_prime(self, wrong):
+        # the held-out direction is drawn at 1000003 whatever the run's r,
+        # and a held-out solve that cannot show the result's count rejects
+        cube = sorted(unit_cube().vertices)
+        if wrong == "missing":  # two opposite corners
+            vertices = [v for v in cube if v not in ((0, 0, 0), (1, 1, 1))]
+        else:
+            vertices = [*cube, (F(2), F(2), F(2))]
+        pipe = _Pipeline(PolytopeMomentOracle(unit_cube()), 8,
+                         RunConfig(denominator=7, seed=1), Random(1))
+        with pytest.raises(OracleDisagreement):
+            _self_check(pipe, vertices)
+        assert pipe.prov.self_check_residual == 1.0
+        _self_check(pipe, cube)
+        assert pipe.prov.self_check_residual == 0.0
+
+    def test_exact_cube_undercount_at_r7(self):
+        # the directions drawn at r = 7 undercount the cube, and the run
+        # returns 6 vertices; the held-out solve at 6 fails, which rejects them
+        oracle = PolytopeMomentOracle(unit_cube())
+        with pytest.raises(OracleDisagreement, match="residual"):
+            reconstruct(oracle, 8, RunConfig(denominator=7, seed=2), Random(2),
+                        self_check=True)
+
     def test_inconclusive_when_every_draw_is_unusable(self, monkeypatch):
         # (1, 0, 0) projects the cube onto two values
         cube = unit_cube()
         pipe = _Pipeline(PolytopeMomentOracle(cube), 8, _cfg(), Random(1))
-        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self: (1, 0, 0))
+        monkeypatch.setattr(_Pipeline, "sample_direction", lambda self, r=None: (1, 0, 0))
         with pytest.warns(UserWarning, match="inconclusive"):
             _self_check(pipe, list(cube.vertices))
         assert pipe.prov.self_check_residual is None
@@ -748,6 +773,15 @@ class TestSelfCheckRejects:
         oracle = PolytopeMomentOracle(unit_square(), mode=oracle_mode)
         with pytest.raises(InputError, match="config mode"):
             _Pipeline(oracle, 4, RunConfig(mode=config_mode), None)
+
+
+def test_exact_ngon48_at_default_settings():
+    # the projections reach 48 * 1000003: the root search seeds on the
+    # integer polynomial scaled into the unit disc, so no float overflows
+    p = _ngon(48)
+    vs = reconstruct(PolytopeMomentOracle(p), 48, RunConfig(seed=1), Random(1))
+    assert vs.vertices == tuple(sorted(p.vertices))
+    assert vs.provenance.moment_count == (2 * 2 - 1) * (2 * 48 + 1 - 2)
 
 
 class TestFrugal:
