@@ -6,8 +6,10 @@ linear system per vertex. Every variant matches the same way: for mixing
 coefficients alpha it accepts the index tuples whose candidate sums
 sum_i alpha_i x_i[k_i] are roots of the Prony polynomial of the combined
 direction sum_i alpha_i z_i (``match_projections``; on exact data one root
-search replaces the per-candidate evaluations), and tries the caller's
-coefficients in turn until one matching is unambiguous (``choose_beta``).
+search replaces the per-candidate evaluations; on float data with more than
+N candidates the N smallest |p_z| count when the next stands
+``FLOAT_SEPARATION`` times above them), and tries the caller's coefficients
+in turn until one matching is unambiguous (``choose_beta``).
 The main pipeline matches each z_i with z_1 through z_1 + beta z_i; a
 frugal variant matches all d at once from d+1 directions, at the price of
 enumerating all candidate index tuples.
@@ -60,6 +62,9 @@ DIRECTION_RETRIES = 30
 # float acceptance threshold: the largest |p_z| a matching candidate may show,
 # and the least bound of a result's residual (``_Pipeline.residual_bound``)
 FLOAT_TOL = 1e-6
+# when more than N float candidates pass FLOAT_TOL, the N smallest |p_z| still
+# match if the next smallest stands more than this factor above them
+FLOAT_SEPARATION = 1e3
 
 
 @dataclass
@@ -87,10 +92,11 @@ class VertexSet:
 def match_projections(values, alphas, pz: PronyPolynomial):
     """The index tuples (k_1, ..., k_d), in product order, whose candidate
     sums sum_i alpha_i values_i[k_i] are roots of p_z (float projections:
-    |p_z| < FLOAT_TOL there). Raises AmbiguousMatching unless there are
-    exactly n of them and every column is a permutation of 0..n-1 (for two
-    directions: the pairing is a bijection), and on exact data when p_z
-    has an irrational root."""
+    |p_z| < FLOAT_TOL there; when more than n pass, the n smallest |p_z| if
+    the next is more than FLOAT_SEPARATION times larger). Raises
+    AmbiguousMatching unless there are exactly n of them and every column is
+    a permutation of 0..n-1 (for two directions: the pairing is a
+    bijection), and on exact data when p_z has an irrational root."""
     n = len(values[0])
     if any(len(v) != n for v in values):
         raise InputError("projection sets of unequal size")
@@ -99,6 +105,12 @@ def match_projections(values, alphas, pz: PronyPolynomial):
         raise AmbiguousMatching(
             f"combined polynomial has an irrational root with alphas {alphas}"
         )
+    if len(hits) > n and _is_float(values):
+        x = [sum(a * v[k] for a, v, k in zip(alphas, values, h)) for h in hits]
+        size = np.abs(pz.eval(np.array(x)))
+        order = np.argsort(size)
+        if FLOAT_SEPARATION * size[order[n - 1]] < size[order[n]]:
+            hits = sorted(hits[i] for i in order[:n])
     if len(hits) != n or any(sorted(col) != list(range(n)) for col in zip(*hits)):
         raise AmbiguousMatching(
             f"{len(hits)} candidate tuples are no matching with alphas {alphas}"

@@ -50,6 +50,8 @@ from polymom.prony import (
     prony_polynomial_from_sequence,
 )
 from polymom.reconstruct import (
+    FLOAT_SEPARATION,
+    FLOAT_TOL,
     _Pipeline,
     _alpha_sequence,
     _self_check,
@@ -289,6 +291,79 @@ class TestFloatCandidateTest:
                 _float_horner_hits(pz, (1, 2.5), values, tol)
 
 
+def _float_reference_match(pz, alphas, values):
+    """The float acceptance before the separation rule: exactly n Horner
+    hits below FLOAT_TOL, each column a permutation of 0..n-1."""
+    n = len(values[0])
+    hits = _float_horner_hits(pz, alphas, values, FLOAT_TOL)
+    if len(hits) != n or any(sorted(col) != list(range(n)) for col in zip(*hits)):
+        return AmbiguousMatching
+    return hits
+
+
+class TestFloatSeparation:
+    # x1 = (0, 1, 4), x2 = (0, 2, 3 + eps), alphas (1, 1): the true tuples
+    # (0, 0), (1, 1), (2, 2) sum to 0, 3, 7 + eps, and the false (0, 2) sums
+    # to 3 + eps, eps from the root at 3; the roots sit 1e-12 off the truth
+    @staticmethod
+    def _near_collision(eps):
+        values = [(0.0, 1.0, 4.0), (0.0, 2.0, 3.0 + eps)]
+        pz = _float_poly([r + 1e-12 for r in (0.0, 3.0, 7.0 + eps)], 1)
+        sizes = sorted(abs(pz.eval(x1 + x2)) for x1 in values[0] for x2 in values[1])
+        assert len(_tuple_hits(pz, (1.0, 1.0), values)) == 4
+        return values, pz, sizes[3] / sizes[2]
+
+    def test_the_n_best_match_when_the_next_stands_apart(self):
+        values, pz, gap = self._near_collision(1e-8)
+        assert gap > FLOAT_SEPARATION
+        assert match_projections(values, (1.0, 1.0), pz) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_a_gap_below_the_separation_stays_ambiguous(self):
+        values, pz, gap = self._near_collision(1e-9)
+        assert 1 < gap < FLOAT_SEPARATION
+        with pytest.raises(AmbiguousMatching, match="4 candidate tuples"):
+            match_projections(values, (1.0, 1.0), pz)
+
+    def test_every_reference_acceptance_is_kept(self):
+        # seeded float trials, colliding combined directions among them:
+        # where the reference accepts, the rule returns its tuples, and it
+        # accepts beyond the reference only on more than n hits
+        rng = Random(37)
+        kinds = set()
+        for verts, _, _, z1, zi in _matching_cases(6, 24):
+            d = len(z1)
+            fverts = [tuple(float(x) for x in v) for v in verts]
+            zs = [tuple(map(float, z)) for z in (z1, zi, (1, 2, 3))[:d]]
+            values = [sorted(dot(v, z) for v in fverts) for z in zs]
+            if any(len(set(vals)) != len(verts) for vals in values):
+                continue
+            for beta in (1.0, 2.0, 0.5, rng.randint(1, 49) / rng.randint(1, 31)):
+                alphas = (1.0,) + (beta,) * (d - 1)
+                z = tuple(sum(a * w[t] for a, w in zip(alphas, zs)) for t in range(d))
+                jitter = rng.choice((0.0, 1e-13, 1e-10))
+                pz = _float_poly([dot(v, z) + jitter * rng.uniform(-1, 1)
+                                  for v in fverts], rng.choice((1, 7.5)))
+                want = _float_reference_match(pz, alphas, values)
+                got = _outcome(match_projections, values, alphas, pz)
+                if want is not AmbiguousMatching:
+                    assert got == want
+                    kinds.add("kept")
+                elif got is not AmbiguousMatching:
+                    assert len(_tuple_hits(pz, alphas, values)) > len(verts)
+                    kinds.add("separated")
+                else:
+                    kinds.add("rejected")
+        assert {"kept", "rejected"} <= kinds, kinds
+
+    def test_exact_data_with_more_than_n_hits_still_raises(self):
+        # 0 + 2*2 = 4 collides with 2 + 2*1 = 4: four exact hits for three
+        values = [(F(0), F(1), F(2)), (F(0), F(1), F(2))]
+        pz = _poly_from_roots([F(0), F(5), F(4)])
+        assert len(_tuple_hits(pz, (1, F(2)), values)) == 4
+        with pytest.raises(AmbiguousMatching, match="4 candidate tuples"):
+            match_projections(values, (1, F(2)), pz)
+
+
 def _times(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -370,7 +445,8 @@ class TestChooseBeta:
     @pytest.mark.parametrize("max_trials", [1, 3, 9])
     def test_float_exhaustion_draws_one_coefficient_past_the_budget(self, max_trials):
         # the budget check follows the draw, so k trials leave the generator
-        # k + 1 coefficients on; the float cube's retry storm depends on it
+        # k + 1 coefficients on; the pipeline draws its replacement
+        # directions from the same generator, so they depend on it
         pz = _float_poly([100.0, 200.0], 1)
         rng = Random(7)
         with pytest.raises(MatchingFailure):
@@ -496,14 +572,15 @@ class TestReconstruct:
         vs = reconstruct(oracle, 4, cfg, rng=Random(21))
         assert reconstruction_error(unit_square(), vs) <= 1e-6
 
-    def test_float_cube_retry_storm_is_unchanged(self):
-        # a characterization of the whole float pipeline: the draw
-        # Random(1) solves the float cube after 2,586 failed trials
+    def test_float_cube_solves_without_a_retry_storm(self):
+        # a characterization of the whole float pipeline: the draw Random(1)
+        # solves the float cube after 9 retries, all of them base directions;
+        # both matchings pass at their first trial
         cube = unit_cube()
         oracle = PolytopeMomentOracle(cube, mode="float")
         vs = reconstruct(oracle, 8, RunConfig(mode="float", seed=1), Random(1))
-        assert vs.provenance.retries == 2586
-        assert oracle.unique_count == 82586
+        assert vs.provenance.retries == 9
+        assert oracle.unique_count == 374
         assert reconstruction_error(cube, vs) <= 1e-6
 
     def test_float_cube_vertices_to_the_last_bit(self):
@@ -570,14 +647,14 @@ class TestReconstruct:
 
 # the float cube's vertices under the pipeline draw Random(1), to the last bit
 FLOAT_CUBE_VERTICES = (
-    (-3.807359461058338e-08, 0.9999999659906675, 2.745746742137517e-08),
-    (3.7175962411866827e-09, 2.911531876086223e-09, -2.596353022658279e-09),
-    (3.95600472227585e-09, -7.944132756391049e-09, 0.9999999982950148),
-    (3.5796872132276316e-08, 1.0000000288279092, 0.9999999749616761),
-    (0.999999859667936, -1.1113531890659426e-07, 9.705379597397833e-08),
-    (0.9999999900370344, 1.000000005384501, 6.813600266862457e-09),
-    (0.9999999999662705, 0.9999999999689979, 1.0000000000261404),
-    (1.0000001418443611, 1.1805928789357037e-07, 0.9999998988832391),
+    (-2.431365876036466e-09, 0.9999999952727219, 2.138086482724902e-09),
+    (1.5435234334143085e-10, -1.5869297661537876e-11, -6.511035863451617e-11),
+    (1.613500330393468e-09, 1.0000000007443857, 0.9999999992447205),
+    (7.918722412922861e-09, -4.688541988602531e-09, 0.9999999954799957),
+    (0.9999999901219806, 1.0000000054542895, 6.753256273787919e-09),
+    (0.9999999920324826, -2.3905515214035803e-09, 3.025209410804717e-09),
+    (0.9999999999995173, 0.999999999996312, 1.0000000000025229),
+    (1.0000000085499676, 8.550599393213166e-09, 0.9999999935723671),
 )
 
 
