@@ -2,8 +2,10 @@
 verification, and the univariate-representation route.
 
 Exit codes: 0 success, 2 bad input or a file that cannot be read or
-written, 3 non-generic direction (resample),
-4 route disagreement, 5 rank instability, 6 matching failure.
+written, 3 non-generic direction (resample), 4 disagreement (the two
+moment routes differ, an exact roundtrip recovered a different vertex set,
+or the self-check rejected the result), 5 rank instability, 6 matching
+failure.
 """
 
 from __future__ import annotations

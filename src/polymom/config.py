@@ -12,23 +12,17 @@ from .numeric import EXACT
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Sampling parameters, the matching budget and the noise level. The
-    float rank threshold is the constant ``prony.DEFAULT_RANK_TOL``.
-
-    ``beta_trials`` of None means the per-pair default N^3 + 1 from the
-    de-randomized matching search.
-    """
+    """Sampling parameters and the noise level. The float rank threshold is
+    the constant ``prony.DEFAULT_RANK_TOL``, the matching budget N^3 + 1
+    coefficients per matching."""
 
     mode: str = EXACT
     denominator: int = DEFAULT_DENOMINATOR
     seed: int | None = None
-    beta_trials: int | None = None
     noise: float = 0.0
 
     def validate(self, nmax: int | None = None):
         _check_mode(self.mode)
-        if self.beta_trials is not None and self.beta_trials < 1:
-            raise InputError("beta_trials must be at least 1")
         _check_noise(self.noise)
         if self.noise and self.mode == EXACT:
             raise InputError("noise requires float mode")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from math import comb, lcm
+from math import lcm
 from random import Random
 
 import numpy as np
@@ -170,26 +170,21 @@ def _alpha_sequence(dim, mode, rng):
             )
 
 
-def choose_beta(values, poly_for, coefficients, max_trials):
-    """The first mixing coefficients from ``coefficients``, at most
-    ``max_trials`` of them, whose combined polynomial ``poly_for(alphas)``
-    matches the projection sets ``values`` unambiguously. Combined
-    directions that fail rank detection count as failed trials. Returns
-    (alphas, matched tuples, failed trials); an exhausted budget raises
-    MatchingFailure naming the last trial's error."""
-    trials = 0
-    last_error = None
-    # an endless sequence draws one coefficient past the budget before it stops
+def choose_beta(values, poly_for, coefficients):
+    """Tries every mixing coefficient the caller supplies in turn, up to the
+    first whose combined polynomial ``poly_for(alphas)`` matches the
+    projection sets ``values`` unambiguously. Combined directions that fail
+    rank detection count as failed trials. Returns (alphas, matched tuples,
+    failed trials); running out of coefficients raises MatchingFailure
+    naming the last trial's error."""
+    failures, last_error = 0, None
     for alphas in coefficients:
-        if trials >= max_trials:
-            break
-        trials += 1
         try:
-            return alphas, match_projections(values, alphas, poly_for(alphas)), trials - 1
+            return alphas, match_projections(values, alphas, poly_for(alphas)), failures
         except (NonGenericDirection, DenominatorVanishes, AmbiguousMatching) as exc:
-            last_error = exc
+            failures, last_error = failures + 1, exc
     raise MatchingFailure(
-        f"no unambiguous matching in {trials} trials"
+        f"no unambiguous matching in {failures} trials"
         + (f"; last error: {last_error}" if last_error else "")
     )
 
@@ -328,15 +323,21 @@ class _Pipeline:
         self.prov.ranks = [b[1].rank for b in base]
         return base
 
-    def match(self, values, poly_for):
-        """``choose_beta`` on this run's settings, as (alphas, matched
-        tuples); failed trials count as retries. An exhausted budget raises
-        MatchingFailure: on exact data the default N^3+1 coefficients hold
-        an unambiguous one unless the base projections undercount."""
-        cfg = self.config
-        max_trials = cfg.beta_trials or len(values[0]) ** 3 + 1
-        coefficients = _alpha_sequence(len(values), cfg.mode, self.rng)
-        alphas, hits, failures = choose_beta(values, poly_for, coefficients, max_trials)
+    def match(self, rows, values, n):
+        """``choose_beta`` on the combined directions sum_i alpha_i rows_i
+        for the first N^3+1 coefficients of ``_alpha_sequence``, as (alphas,
+        matched tuples); failed trials count as retries. An exhausted budget
+        raises MatchingFailure: on exact data it holds an unambiguous alpha
+        unless the base projections undercount."""
+        coefficients = itertools.islice(
+            _alpha_sequence(len(rows), self.config.mode, self.rng), n**3 + 1
+        )
+
+        def poly_for(alphas):
+            combined = tuple(sum(a * x for a, x in zip(alphas, col)) for col in zip(*rows))
+            return self.poly_at(combined, n)
+
+        alphas, hits, failures = choose_beta(values, poly_for, coefficients)
         self.prov.retries += failures
         return alphas, hits
 
@@ -473,10 +474,7 @@ def reconstruct(
     rows, values = prov.directions, [b[1].values for b in base]
     pairings = []
     for zi, xi in zip(rows[1:], values[1:]):
-        def poly_for(alphas):
-            return pipe.poly_at(tuple(a + alphas[1] * b for a, b in zip(rows[0], zi)), n)
-
-        alphas, hits = pipe.match([values[0], xi], poly_for)
+        alphas, hits = pipe.match([rows[0], zi], [values[0], xi], n)
         prov.betas.append(alphas[1])
         pairings.append([k for _, k in hits])
 
@@ -487,7 +485,8 @@ def reconstruct(
     return result
 
 
-FRUGAL_GUARD = 10**6
+# the most candidate index tuples, N^d, that frugal matching enumerates
+FRUGAL_GUARD = 4 * 10**6
 
 
 def match_frugal_d_plus_1(
@@ -508,19 +507,13 @@ def match_frugal_d_plus_1(
 
     base = pipe.acquire_base()
     n = base[0][1].n
-    if comb(n, d) > FRUGAL_GUARD or n**d > 4 * FRUGAL_GUARD:
+    if n**d > FRUGAL_GUARD:
         raise InputError(
-            f"candidate tuple count C({n},{d}) exceeds the guard {FRUGAL_GUARD}"
+            f"candidate tuple count {n}^{d} exceeds the guard {FRUGAL_GUARD}"
         )
 
     values = [b[1].values for b in base]
-
-    def poly_for(alphas):
-        return pipe.poly_at(tuple(
-            sum(a * z[t] for a, z in zip(alphas, prov.directions)) for t in range(d)
-        ), n)
-
-    alphas, hits = pipe.match(values, poly_for)
+    alphas, hits = pipe.match(prov.directions, values, n)
     prov.betas = [list(alphas)]
     return pipe.finish(pipe.assemble(prov.directions, values, hits))
 
@@ -593,8 +586,7 @@ def reconstruct_from_sequences(
         if not stated:
             raise MatchingFailure(f"no supplied combined direction matches base direction {i}")
         alphas, hits, failures = choose_beta(
-            [x1, projs[i].values], lambda a: pipe.poly_at(stated[a], n),
-            stated, len(stated),
+            [x1, projs[i].values], lambda a: pipe.poly_at(stated[a], n), stated
         )
         prov.retries += failures
         prov.betas.append(alphas[1])

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import polymom
-from conftest import square_pyramid, unit_square, unit_triangle
+from conftest import square_pyramid, unit_cube, unit_square, unit_triangle
 from polymom import cli, prony
 from polymom.cli import main
 from polymom.config import RunConfig
 from polymom.errors import NonGenericDirection
 from polymom.geometry import Polytope, polytope_to_json, save_polytope
+from polymom.reconstruct import VertexSet
 from polymom.univar import interpolate_fab, vertices_univar
 
 F = Fraction
@@ -158,11 +159,11 @@ def test_meaningless_float_setting_exit_2(square_file, capsys, command, flags):
 
 
 def test_option_surface():
-    # every RunConfig field but beta_trials is a flag of every subcommand,
-    # with the field's default; the float thresholds and the float Hankel
-    # size are constants, and the separation width follows the noise level
+    # every RunConfig field is a flag of every subcommand, with the field's
+    # default; the float thresholds and the float Hankel size are
+    # constants, and the separation width follows the noise level
     fields = [f.name for f in dataclasses.fields(RunConfig)]
-    assert fields == ["mode", "denominator", "seed", "beta_trials", "noise"]
+    assert fields == ["mode", "denominator", "seed", "noise"]
     for fn, names in (
         (prony.prony_polynomial_from_sequence, ["ms", "nmax", "_rank"]),
         (prony.projections_from_moments, ["ms", "nmax", "noise"]),
@@ -182,7 +183,7 @@ def test_option_surface():
                  ["univar", "--oracle-polytope", "p.json", "--nmax", "3"]):
         args = parser.parse_args(argv)
         flagged = [name for name in fields if hasattr(args, name)]
-        assert flagged == [name for name in fields if name != "beta_trials"]
+        assert flagged == fields
         assert all(getattr(args, name) == getattr(defaults, name) for name in flagged)
 
 
@@ -508,6 +509,21 @@ class TestRoundtrip:
         ])
         assert code == 0
         assert json.loads(out.read_text())["diagnostics"]["residual_max"] is None
+
+    def test_exact_wrong_vertex_set_exit_4(self, tmp_path, monkeypatch, capsys):
+        # an exact roundtrip that recovers another set writes its report,
+        # then exits 4
+        cube = unit_cube()
+        path = tmp_path / "cube.json"
+        save_polytope(cube, path)
+        short = VertexSet(dim=3, vertices=tuple(sorted(cube.vertices))[1:])
+        monkeypatch.setattr(cli, "reconstruct", lambda *args, **kwargs: short)
+        out = tmp_path / "r.json"
+        code = main(["roundtrip", str(path), "--nmax", "8", "--out", str(out)])
+        assert code == 4
+        assert json.loads(out.read_text())["exact_match"] is False
+        err = capsys.readouterr().err
+        assert "did not recover the vertex set" in err and "Traceback" not in err
 
 
 class TestUnivarCommand:

@@ -398,7 +398,7 @@ class TestChooseBeta:
         solver = self._triangle_solver()
         alphas, hits, failures = choose_beta(
             [(F(0), F(1), F(2)), (F(0), F(1), F(2))], lambda a: solver(a[1]),
-            _alpha_sequence(2, "exact", None), max_trials=28,
+            itertools.islice(_alpha_sequence(2, "exact", None), 28),
         )
         beta, pairing = alphas[1], tuple(k for _, k in hits)
         assert alphas == (1, 3) and beta == 3
@@ -408,7 +408,8 @@ class TestChooseBeta:
     def test_single_vertex_immediate(self):
         pz = _poly_from_roots([F(0)])
         alphas, hits, failures = choose_beta(
-            [(F(0),), (F(0),)], lambda a: pz, _alpha_sequence(2, "exact", None), max_trials=2
+            [(F(0),), (F(0),)], lambda a: pz,
+            itertools.islice(_alpha_sequence(2, "exact", None), 2),
         )
         assert alphas == (1, 1) and hits == [(0, 0)] and failures == 0
 
@@ -432,7 +433,7 @@ class TestChooseBeta:
 
         alphas, hits, failures = choose_beta(
             [(F(0), F(1), F(2), F(3)), (F(0), F(1), F(2), F(3))],
-            lambda a: solver(a[1]), _alpha_sequence(2, "exact", None), max_trials=4**3 + 1,
+            lambda a: solver(a[1]), itertools.islice(_alpha_sequence(2, "exact", None), 4**3 + 1),
         )
         assert alphas[1] == 3
         assert hits == [(0, 0), (1, 2), (2, 1), (3, 3)]
@@ -441,20 +442,18 @@ class TestChooseBeta:
         pz = _poly_from_roots([F(100), F(200)])  # never matches anything
         with pytest.raises(MatchingFailure):
             choose_beta([(F(0), F(1)), (F(0), F(1))], lambda a: pz,
-                        _alpha_sequence(2, "exact", None), max_trials=9)
+                        itertools.islice(_alpha_sequence(2, "exact", None), 9))
 
-    @pytest.mark.parametrize("max_trials", [1, 3, 9])
-    def test_float_exhaustion_draws_one_coefficient_past_the_budget(self, max_trials):
-        # the budget check follows the draw, so k trials leave the generator
-        # k + 1 coefficients on, which a caller that catches the failure
-        # and draws on from the same generator sees
+    @pytest.mark.parametrize("trials", [1, 3, 9])
+    def test_float_k_trials_draw_exactly_k_coefficients(self, trials):
+        # k failed trials draw k coefficients from the generator and no more
         pz = _float_poly([100.0, 200.0], 1)
         rng = Random(7)
-        with pytest.raises(MatchingFailure):
+        with pytest.raises(MatchingFailure, match=f"in {trials} trials"):
             choose_beta([(0.0, 1.0), (0.0, 1.0)], lambda a: pz,
-                        _alpha_sequence(2, "float", rng), max_trials)
+                        itertools.islice(_alpha_sequence(2, "float", rng), trials))
         reference = Random(7)
-        for _ in range(max_trials + 1):
+        for _ in range(trials):
             reference.randint(1, 499) / reference.randint(1, 31)
         assert rng.getstate() == reference.getstate()
 
@@ -589,6 +588,20 @@ class TestReconstruct:
         vs = reconstruct(oracle, 8, RunConfig(mode="float", seed=1), Random(1))
         assert vs.vertices == FLOAT_CUBE_VERTICES
 
+    def test_noise_in_exact_mode_rejected(self):
+        with pytest.raises(InputError, match="noise requires float mode"):
+            RunConfig(noise=1e-9).validate()
+
+    def test_composite_denominator_rejected_in_exact_mode(self):
+        with pytest.raises(InputError, match="denominator 9 must be prime in exact mode"):
+            RunConfig(denominator=9).validate()
+        assert RunConfig(mode="float", denominator=9).validate().denominator == 9
+
+    def test_repeated_vertices_rejected(self):
+        pipe = _Pipeline(PolytopeMomentOracle(unit_square()), 4, _cfg(), Random(1))
+        with pytest.raises(RankInstability, match="not distinct"):
+            pipe.finish([(F(0), F(1)), (F(1), F(0)), (F(0), F(1))])
+
     @pytest.mark.parametrize("field, value", [
         ("noise", float("nan")), ("noise", float("inf")), ("noise", -1e-9),
     ])
@@ -631,7 +644,7 @@ class TestReconstruct:
         for seed in range(8):
             oracle = PolytopeMomentOracle(cube, mode="float")
             cfg = RunConfig(
-                mode="float", seed=seed, denominator=10007, beta_trials=40
+                mode="float", seed=seed, denominator=10007
             )
             try:
                 with _w.catch_warnings():
@@ -711,11 +724,11 @@ def _fail_first_match(monkeypatch):
     """Make the first matching of a run exhaust its budget."""
     match, calls = _Pipeline.match, []
 
-    def patched(self, values, poly_for):
+    def patched(self, rows, values, n):
         calls.append(None)
         if len(calls) == 1:
             raise MatchingFailure("injected")
-        return match(self, values, poly_for)
+        return match(self, rows, values, n)
 
     monkeypatch.setattr(_Pipeline, "match", patched)
 
@@ -857,10 +870,12 @@ class TestFrugal:
             assert vs.provenance.moment_count == 4 * (2 * 8 + 1 - 3)
 
     def test_candidate_count_above_the_guard_raises(self, monkeypatch):
-        # the cube has C(8, 3) = 56 candidate triples
-        monkeypatch.setattr(reconstruct_module, "FRUGAL_GUARD", 10)
-        with pytest.raises(InputError, match=r"C\(8,3\) exceeds the guard 10"):
-            match_frugal_d_plus_1(PolytopeMomentOracle(unit_cube()), 8, _cfg(), rng=Random(9))
+        # frugal enumerates all 8^3 = 512 candidate triples of the cube, so a
+        # guard of 100 refuses it although C(8, 3) = 56 is below
+        for guard in (10, 100):
+            monkeypatch.setattr(reconstruct_module, "FRUGAL_GUARD", guard)
+            with pytest.raises(InputError, match=rf"8\^3 exceeds the guard {guard}$"):
+                match_frugal_d_plus_1(PolytopeMomentOracle(unit_cube()), 8, _cfg(), rng=Random(9))
 
     def test_simplex_candidate_count_trivial(self):
         # N = d+1: candidate tuples are few and matching is immediate
