@@ -23,6 +23,14 @@ from .numeric import EXACT, FLOAT, index_from_json, integerize, scalar_from_json
 DEFAULT_DENOMINATOR = 1000003
 
 
+def _to_double(x, what):
+    """float(x), or InputError naming ``what`` beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"float mode: a {what} is beyond the double range") from None
+
+
 @dataclass(frozen=True)
 class TangentCone:
     """Edge data of the tangent cone at one vertex of a simple polytope."""
@@ -91,7 +99,7 @@ class Polytope:
         d = self.dim
         points = np.array([vertices[v] for v in rows], dtype=float).reshape(len(rows), d)
         edges = np.array([e for _, e, _ in cones], dtype=float).reshape(len(cones), d, d)
-        dets = np.array([float(det) for _, _, det in cones])
+        dets = np.array([_to_double(det, "cone determinant") for _, _, det in cones])
         return points, edges, dets, index
 
 
@@ -376,7 +384,7 @@ def polytope_from_json(doc, mode=EXACT) -> Polytope:
                     raise InputError(f"every cone needs {d} edges of {d} coordinates")
                 det = abs(linalg.det_exact([list(col) for col in zip(*edges)]))
                 if mode == FLOAT:
-                    det = float(det)
+                    det = _to_double(det, "cone determinant")
                 cones.append(TangentCone(vertex=index_from_json(c["vertex"], "cone vertex"),
                                          edges=edges, det=det))
             cones = tuple(cones)
@@ -410,14 +418,14 @@ def save_polytope(p: Polytope, path):
 
 def polytope_to_float(p: Polytope) -> Polytope:
     """Float-mode copy of an exact polytope."""
-    verts = tuple(tuple(float(x) for x in v) for v in p.vertices)
+    verts = tuple(tuple(_to_double(x, "vertex coordinate") for x in v) for v in p.vertices)
     cones = None
     if p.cones is not None:
         cones = tuple(
             TangentCone(
                 vertex=c.vertex,
-                edges=tuple(tuple(float(x) for x in e) for e in c.edges),
-                det=float(c.det),
+                edges=tuple(tuple(_to_double(x, "edge coordinate") for x in e) for e in c.edges),
+                det=_to_double(c.det, "cone determinant"),
             )
             for c in p.cones
         )

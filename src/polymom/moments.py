@@ -42,7 +42,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, inf, lcm, perm, prod
+from math import comb, factorial, inf, isfinite, lcm, perm, prod
 from random import Random
 
 import numpy as np
@@ -143,19 +143,28 @@ def axial_moments_brion(p: Polytope, z, count: int):
         return _brion_sum(p, coords, q, count, [MultiPoly.constant(d, 1)])
     scale, _, cones = p.cone_table
     points, edges, dets, index = p.cone_arrays
-    values = _dots(edges, coords)
+    try:
+        with np.errstate(over="raise"):
+            values = _dots(edges, coords)
+            products = np.multiply.accumulate(values, axis=1)[:, -1]
+    except FloatingPointError:
+        raise InputError("float mode: a cone denominator is beyond the double range") from None
     zero = values == 0
     if zero.any():  # the first cone in table order, and its first such edge
         c, k = np.argwhere(zero)[0]
         raise DenominatorVanishes(cones[c][0].vertex, tuple(cones[c][0].edges[k]))
-    weights = dets / np.multiply.accumulate(values, axis=1)[:, -1]
+    weights = dets / products
     if index is not None:  # summed per vertex in cone order; -0.0 + w is w
         weights, cone_weights = np.full(len(points), -0.0), weights
         np.add.at(weights, index, cone_weights)
     if scale not in (None, 1):  # <v, z> = <V v, z / V>
         coords = [x / scale for x in coords]
-    projs = _dots(points, coords)
-    run = np.array([n**d for n in projs.tolist()]) * weights
+    try:
+        with np.errstate(over="raise"):
+            projs = _dots(points, coords)
+        run = np.array([n**d for n in projs.tolist()]) * weights
+    except (FloatingPointError, OverflowError):
+        raise InputError(f"float mode: a power <v, z>^{d} is beyond the double range") from None
     sums = _left_sum(_running_values(projs, [run], count)[:, 0])
     falls = [float(f) for f in falling_column(d, count)]
     return ((-1) ** d * sums / falls).tolist()
@@ -505,6 +514,8 @@ def moment_sequence(
         moments = direct
     else:
         raise InputError(f"unknown route {route!r}")
+    if mode == FLOAT:
+        _check_finite(moments)
     return MomentSequence(
         dim=p.dim,
         direction=coords,
@@ -512,6 +523,12 @@ def moment_sequence(
         mode=mode,
         moments=tuple(moments),
     )
+
+
+def _check_finite(moments):
+    """Float moments past the double range read inf or nan: InputError."""
+    if not all(map(isfinite, moments)):
+        raise InputError("float mode: a moment is beyond the double range")
 
 
 def _check_direction(p: Polytope, coords):
@@ -747,6 +764,8 @@ class PolytopeMomentOracle:
                 batch = axial_moments_brion_density(
                     self.polytope, coords, count, self.density
                 )
+            if self.mode == FLOAT:
+                _check_finite(batch)
             if not self.noise:
                 return tuple([values.setdefault((coords, j), value) for j, value in enumerate(batch)])
             for j, value in enumerate(batch):

@@ -324,7 +324,10 @@ def poly_parse(text: str, dim: int) -> MultiPoly:
     if coef is None and exps is None:
         raise InputError(f"dangling sign at offset {term_start}")
     flush()
-    return MultiPoly(dim, terms)
+    poly = MultiPoly(dim, terms)
+    if not poly.terms:
+        raise InputError(f"density {text!r} is the zero polynomial: it has no moments")
+    return poly
 
 
 class Jet:

@@ -94,9 +94,9 @@ def match_projections(values, alphas, pz: PronyPolynomial):
     sums sum_i alpha_i values_i[k_i] are roots of p_z (float projections:
     |p_z| < FLOAT_TOL there; when more than n pass, the n smallest |p_z| if
     the next is more than FLOAT_SEPARATION times larger). Raises
-    AmbiguousMatching unless there are exactly n of them and every column is
-    a permutation of 0..n-1 (for two directions: the pairing is a
-    bijection), and on exact data when p_z has an irrational root."""
+    MatchingFailure when some base index is in no tuple, AmbiguousMatching
+    unless there are n tuples and every column is a permutation of 0..n-1
+    (two directions: a bijection), and on exact data at an irrational root."""
     n = len(values[0])
     if any(len(v) != n for v in values):
         raise InputError("projection sets of unequal size")
@@ -105,6 +105,13 @@ def match_projections(values, alphas, pz: PronyPolynomial):
         raise AmbiguousMatching(
             f"combined polynomial has an irrational root with alphas {alphas}"
         )
+    # every true tuple hits whatever alpha is, and the base sets do not
+    # depend on alpha: no further trial can cover a missed projection
+    for i, col in enumerate(zip(*hits) if hits else [()]):
+        if len(set(col)) < n:
+            raise MatchingFailure(
+                f"base projection set {i} is not covered with alphas {alphas}"
+            )
     if len(hits) > n and _is_float(values):
         x = [sum(a * v[k] for a, v, k in zip(alphas, values, h)) for h in hits]
         size = np.abs(pz.eval(np.array(x)))
@@ -172,9 +179,9 @@ def _alpha_sequence(dim, mode, rng):
 
 def choose_beta(values, poly_for, coefficients):
     """Tries every mixing coefficient the caller supplies in turn, up to the
-    first whose combined polynomial ``poly_for(alphas)`` matches the
-    projection sets ``values`` unambiguously. Combined directions that fail
-    rank detection count as failed trials. Returns (alphas, matched tuples,
+    first whose combined polynomial ``poly_for(alphas)`` matches ``values``
+    unambiguously; a trial leaving a base projection unmatched raises at once.
+    Rank failures count as failed trials. Returns (alphas, matched tuples,
     failed trials); running out of coefficients raises MatchingFailure
     naming the last trial's error."""
     failures, last_error = 0, None

@@ -244,6 +244,36 @@ def test_non_finite_float_input_exit_2(square_file, tmp_path, capsys, kind, text
     assert err.startswith("polymom:") and "not a finite double" in err
 
 
+# legs of 1e200 are doubles, but the cone determinant 1e400 is not
+WIDE_TRIANGLE_DOC = {"dim": 2, "vertices": [[0, 0], ["1e200", 0], [0, "1e200"]]}
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["moments", "{wide}", *MOMENTS_ARGS], "cone determinant"),
+    (["roundtrip", "{wide}", "--nmax", "3"], "cone determinant"),
+    (["moments", "{square}", "--direction", "1e308,1e308", "--count", "4"],
+     "cone denominator"),
+    (["moments", "{square}", "--direction", "1e100,1", "--count", "5"], "moment"),
+], ids=["moments-wide-triangle", "roundtrip-wide-triangle", "moments-huge-direction",
+        "moments-overflowing-power-sum"])
+def test_float_range_exit_2(square_file, tmp_path, capsys, argv, quantity):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE_TRIANGLE_DOC))
+    code = main([a.format(wide=wide, square=square_file) for a in argv] + ["--mode", "float"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polymom:") and "Traceback" not in err
+    assert quantity in err and "beyond the double range" in err
+
+
+def test_zero_density_exit_2(square_file, capsys):
+    # its degree -1 once reached the oracle as a moment count
+    code = main(["roundtrip", square_file, "--nmax", "4", "--density", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "zero polynomial" in err and "nonnegative" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["moments", "{p}", *MOMENTS_ARGS, "--out", "{bad}"],
     ["moments", "{p}", *MOMENTS_ARGS, "--csv", "{bad}"],

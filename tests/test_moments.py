@@ -24,7 +24,10 @@ from polymom.geometry import (
     Polytope,
     TangentCone,
     dot,
+    polygon_cones,
+    polytope_from_json,
     polytope_to_float,
+    polytope_to_json,
     sample_generic_direction,
     simplex_cones,
 )
@@ -557,6 +560,54 @@ def _edge_normal_directions(p):
                 yield (-float(e[1]), float(e[0]))
             elif sum(x == 0 for x in e) == p.dim - 1:
                 yield tuple(float(x == 0) * (k + 1) for k, x in enumerate(e))
+
+
+def _wide_triangle(leg):
+    """The triangle (0, 0), (leg, 0), (0, leg), triangulated."""
+    return Polytope(dim=2, vertices=((F(0), F(0)), (F(leg), F(0)), (F(0), F(leg))))
+
+
+class TestFloatRange:
+    """Float data whose cone determinants, denominators, projection powers
+    or moments leave the double range raises InputError naming the quantity."""
+
+    @pytest.mark.parametrize("build", ["triangulated", "float-copy-cones", "document-cones"])
+    def test_cone_determinant(self, build):
+        # |det| = 1e400: legs of 1e200 are doubles, their product is not
+        exact = _wide_triangle(10**200)
+        with pytest.raises(InputError, match="cone determinant is beyond the double range"):
+            if build == "triangulated":
+                axial_moments_brion(polytope_to_float(exact), (1.0, 2.0), 4)
+            else:
+                with_cones = Polytope(dim=2, vertices=exact.vertices, cones=polygon_cones(exact))
+                if build == "float-copy-cones":
+                    polytope_to_float(with_cones)
+                else:
+                    polytope_from_json(polytope_to_json(with_cones), "float")
+
+    @pytest.mark.parametrize("z, quantity", [
+        ((1e308, 1e308), "cone denominator"),
+        ((1e200, 1e-200), r"power <v, z>\^2"),
+    ])
+    def test_direction(self, z, quantity):
+        p = polytope_to_float(unit_square())
+        with pytest.raises(InputError, match=f"{quantity} is beyond the double range"):
+            axial_moments_brion(p, z, 4)
+
+    def test_moment(self):
+        # <v, z> = 1e100 and its square are doubles, but the vertex sum's
+        # power <v, z>^(d + j) leaves the double range at j = 2
+        p = polytope_to_float(unit_square())
+        with pytest.raises(InputError, match="moment is beyond the double range"):
+            moment_sequence(p, (1e100, 1.0), 5)
+        oracle = PolytopeMomentOracle(unit_square(), mode="float")
+        with pytest.raises(InputError, match="moment is beyond the double range"):
+            oracle.sequence((1e100, 1.0), 5)
+        assert oracle.unique_count == 0
+
+    def test_exact_polytope_beyond_doubles(self):
+        with pytest.raises(InputError, match="vertex coordinate is beyond the double range"):
+            polytope_to_float(_wide_triangle(10**400))
 
 
 class TestFloatBrionOnArrays:

@@ -111,6 +111,11 @@ class TestPolyParse:
         with pytest.raises(InputError):
             poly_parse("x1 +", 2)
 
+    @pytest.mark.parametrize("text", ["0", "x1 - x1", "0 x2"])
+    def test_zero_density_refused(self, text):
+        with pytest.raises(InputError, match="zero polynomial"):
+            poly_parse(text, 2)
+
     def test_homogeneous_parts(self):
         p = poly_parse("1 + x1 + 3 x1 x2", 2)
         parts = p.homogeneous_parts()

@@ -110,6 +110,13 @@ class TestMatchProjections:
         with pytest.raises(InputError):
             _pairing((F(0), F(1)), (F(0),), F(1), pz)
 
+    def test_uncovered_base_projection_ends_the_search(self):
+        # x1's 2 displaced to 3: the true sums 0, 7, 5 hit only (0, 0) and
+        # (1, 2), so index 2 of x1 is in no hit, whatever beta is
+        pz = _poly_from_roots([F(0), F(7), F(5)])
+        with pytest.raises(MatchingFailure, match="set 0 is not covered"):
+            _pairing((F(0), F(1), F(3)), (F(0), F(1), F(2)), F(3), pz)
+
 
 def _horner_match(x1, xi, beta, pz):
     """The matcher before root-set matching, kept as the reference: one
@@ -136,8 +143,8 @@ def _horner_hits(pz, alphas, values):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except AmbiguousMatching:
-        return AmbiguousMatching
+    except (AmbiguousMatching, MatchingFailure) as exc:
+        return type(exc)
 
 
 def _matching_cases(seed, count):
@@ -327,8 +334,9 @@ class TestFloatSeparation:
 
     def test_every_reference_acceptance_is_kept(self):
         # seeded float trials, colliding combined directions among them:
-        # where the reference accepts, the rule returns its tuples, and it
-        # accepts beyond the reference only on more than n hits
+        # where the reference accepts, the rule returns its tuples, it
+        # accepts beyond the reference only on more than n hits, and it ends
+        # the search exactly where some index of a projection set is in no hit
         rng = Random(37)
         kinds = set()
         for verts, _, _, z1, zi in _matching_cases(6, 24):
@@ -346,15 +354,21 @@ class TestFloatSeparation:
                                   for v in fverts], rng.choice((1, 7.5)))
                 want = _float_reference_match(pz, alphas, values)
                 got = _outcome(match_projections, values, alphas, pz)
+                hits = _tuple_hits(pz, alphas, values)
+                uncovered = not hits or any(
+                    len(set(col)) < len(verts) for col in zip(*hits))
+                assert (got is MatchingFailure) == uncovered
                 if want is not AmbiguousMatching:
                     assert got == want
                     kinds.add("kept")
+                elif got is MatchingFailure:
+                    kinds.add("uncovered")
                 elif got is not AmbiguousMatching:
-                    assert len(_tuple_hits(pz, alphas, values)) > len(verts)
+                    assert len(hits) > len(verts)
                     kinds.add("separated")
                 else:
                     kinds.add("rejected")
-        assert {"kept", "rejected"} <= kinds, kinds
+        assert {"kept", "rejected", "uncovered"} <= kinds, kinds
 
     def test_exact_data_with_more_than_n_hits_still_raises(self):
         # 0 + 2*2 = 4 collides with 2 + 2*1 = 4: four exact hits for three
@@ -439,18 +453,42 @@ class TestChooseBeta:
         assert hits == [(0, 0), (1, 2), (2, 1), (3, 3)]
 
     def test_exhaustion(self):
-        pz = _poly_from_roots([F(100), F(200)])  # never matches anything
-        with pytest.raises(MatchingFailure):
-            choose_beta([(F(0), F(1)), (F(0), F(1))], lambda a: pz,
+        def collided(alphas):  # every combined direction fails rank detection
+            raise RankInstability("collision")
+
+        with pytest.raises(MatchingFailure, match="in 9 trials"):
+            choose_beta([(F(0), F(1)), (F(0), F(1))], collided,
                         itertools.islice(_alpha_sequence(2, "exact", None), 9))
+
+    def test_an_uncovered_projection_is_tried_once(self):
+        # the triangle's pairing (0, 2, 1) with x1's 2 displaced to 3: beta = 1
+        # hits (0, 0), (1, 2), (2, 0), which miss index 1 of x2, so the search
+        # ends there; no second coefficient is drawn
+        calls, drawn = [], []
+
+        def poly_for(alphas):
+            calls.append(alphas)
+            return _poly_from_roots([F(0), 1 + 2 * alphas[1], 2 + alphas[1]])
+
+        def coefficients():
+            for alphas in itertools.islice(_alpha_sequence(2, "exact", None), 3**3 + 1):
+                drawn.append(alphas)
+                yield alphas
+
+        with pytest.raises(MatchingFailure, match="set 1 is not covered"):
+            choose_beta([(F(0), F(1), F(3)), (F(0), F(1), F(2))], poly_for, coefficients())
+        assert calls == drawn == [(1, 1)]
 
     @pytest.mark.parametrize("trials", [1, 3, 9])
     def test_float_k_trials_draw_exactly_k_coefficients(self, trials):
-        # k failed trials draw k coefficients from the generator and no more
-        pz = _float_poly([100.0, 200.0], 1)
+        # k failed trials draw k coefficients from the generator and no more;
+        # a combined direction that fails rank detection is a failed trial
+        def collided(alphas):
+            raise RankInstability("collision")
+
         rng = Random(7)
         with pytest.raises(MatchingFailure, match=f"in {trials} trials"):
-            choose_beta([(0.0, 1.0), (0.0, 1.0)], lambda a: pz,
+            choose_beta([(0.0, 1.0), (0.0, 1.0)], collided,
                         itertools.islice(_alpha_sequence(2, "float", rng), trials))
         reference = Random(7)
         for _ in range(trials):
@@ -583,10 +621,35 @@ class TestReconstruct:
         assert oracle.unique_count == 374
         assert reconstruction_error(cube, vs) <= 1e-6
 
+    @pytest.mark.parametrize("solver", [reconstruct, match_frugal_d_plus_1])
+    @pytest.mark.parametrize("seed, measurements", [(0, 194), (3, 258), (4, 162), (5, 162)])
+    def test_float_cube_uncovered_matching_raises_at_once(self, solver, seed, measurements):
+        # these draws' float base undercounts the cube: the first matching
+        # trial leaves a projection unmatched, and no other alpha can pair it
+        oracle = PolytopeMomentOracle(unit_cube(), mode="float")
+        with pytest.raises(MatchingFailure, match="is not covered"):
+            solver(oracle, 8, RunConfig(mode="float", seed=seed), Random(seed))
+        assert oracle.unique_count == measurements
+
     def test_float_cube_vertices_to_the_last_bit(self):
         oracle = PolytopeMomentOracle(unit_cube(), mode="float")
         vs = reconstruct(oracle, 8, RunConfig(mode="float", seed=1), Random(1))
         assert vs.vertices == FLOAT_CUBE_VERTICES
+
+    def test_float_cone_determinant_beyond_doubles_rejected(self):
+        # legs of 1e200 are doubles, the cone determinant 1e400 is not
+        big = 10**200
+        tri = Polytope(dim=2, vertices=((F(0), F(0)), (F(big), F(0)), (F(0), F(big))))
+        oracle = PolytopeMomentOracle(tri, mode="float")
+        with pytest.raises(InputError, match="cone determinant is beyond the double range"):
+            reconstruct(oracle, 3, RunConfig(mode="float", seed=1), Random(1))
+
+    def test_float_moments_beyond_doubles_rejected(self):
+        # ngon(64)'s float moments overflow along every sampled direction;
+        # as inf they would reach the float Prony solve, whose SVD fails
+        oracle = PolytopeMomentOracle(_ngon(64), mode="float")
+        with pytest.raises(InputError, match="moment is beyond the double range"):
+            reconstruct(oracle, 64, RunConfig(mode="float", seed=1), Random(1))
 
     def test_noise_in_exact_mode_rejected(self):
         with pytest.raises(InputError, match="noise requires float mode"):
@@ -770,10 +833,10 @@ class TestSelfCheckRejects:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_float_ngon8(self, seed):
         # float rank detection undercounts ngon(8); the forward self-check
-        # sees it (residual 0.08-0.17), unless the matching on the
-        # undercounted base already exhausts its budget (seed 2)
-        error, message = ((OracleDisagreement, "residual") if seed < 2
-                          else (MatchingFailure, "no unambiguous matching"))
+        # sees it (residual 0.16), unless the first matching trial on the
+        # undercounted base already leaves a projection unmatched (seeds 0, 2)
+        error, message = ((OracleDisagreement, "residual") if seed == 1
+                          else (MatchingFailure, "is not covered"))
         oracle = PolytopeMomentOracle(_ngon(8), mode="float")
         with pytest.raises(error, match=message):
             reconstruct(oracle, 8, RunConfig(mode="float", seed=seed), Random(seed),
